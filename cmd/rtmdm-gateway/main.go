@@ -1,15 +1,16 @@
 // Command rtmdm-gateway fronts a sharded rtmdm-serve cluster: it routes
 // /v1/admit by consistent hash of the node name and /v1/analyze and
 // /v1/simulate by consistent hash of the canonical scenario, with
-// per-shard admission batching, bounded fan-out, retry/backoff against
-// degraded shards, and per-tenant quotas with weighted fairness.
+// bounded fan-out, retry/backoff against degraded shards, and
+// per-tenant quotas with weighted fairness. Admissions are batched and
+// ordered by the shards' own admitters, not here.
 //
 // Usage:
 //
 //	rtmdm-gateway -shards http://127.0.0.1:18201,http://127.0.0.1:18202 \
 //	    [-addr :8090] [-replicas 64] [-shard-timeout 15s] [-retries 2]
 //	    [-retry-backoff 50ms] [-fail-threshold 3] [-probe-interval 1s]
-//	    [-admit-window 2ms] [-max-inflight 16]
+//	    [-max-inflight 16]
 //	    [-tenants gold=3,free=1] [-tenant-budget 64]
 //	    [-request-budget 45s] [-hedge-delay 0] [-degraded-mode conservative-deny]
 //
@@ -53,7 +54,6 @@ func main() {
 		retryBackoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "first retry backoff (doubles per attempt)")
 		failThreshold = flag.Int("fail-threshold", 3, "consecutive failures before a shard is degraded")
 		probeInterval = flag.Duration("probe-interval", time.Second, "rest before a degraded shard is probed")
-		admitWindow   = flag.Duration("admit-window", 2*time.Millisecond, "per-shard admission batching window (negative disables)")
 		maxInflight   = flag.Int("max-inflight", 16, "concurrent forwards per shard")
 		tenants       = flag.String("tenants", "", "tenant weights name=w,... (empty disables quotas)")
 		tenantBudget  = flag.Int("tenant-budget", 64, "global in-flight budget split by tenant weights")
@@ -87,7 +87,6 @@ func main() {
 		RetryBackoff:  *retryBackoff,
 		FailThreshold: *failThreshold,
 		ProbeInterval: *probeInterval,
-		AdmitWindow:   *admitWindow,
 		MaxInflight:   *maxInflight,
 		TenantWeights: weights,
 		TenantBudget:  *tenantBudget,

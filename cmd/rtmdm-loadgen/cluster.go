@@ -43,7 +43,7 @@ type clusterCfg struct {
 }
 
 // hotBoost is the probe-cycle multiplier for hot nodes: the skew the
-// gateway's per-shard lanes must absorb without starving cold nodes.
+// gateway's per-shard fan-out must absorb without starving cold nodes.
 const hotBoost = 4
 
 // cmix is the splitmix64 finalizer (same mixer as internal/fault).

@@ -69,10 +69,6 @@ type Config struct {
 	// ProbeInterval is how long a degraded shard rests before one
 	// half-open probe request is let through (default 1s).
 	ProbeInterval time.Duration
-	// AdmitWindow gathers concurrent admissions per shard and forwards
-	// them in (request_id, node) order (default 2ms; negative disables
-	// batching — requests still flow through the per-node FIFO lanes).
-	AdmitWindow time.Duration
 	// MaxInflight bounds concurrent forwards per shard (default 16).
 	MaxInflight int
 	// TenantWeights enables per-tenant quotas with weighted fairness;
@@ -84,7 +80,7 @@ type Config struct {
 	// MaxBodyBytes caps request bodies (default 1 MiB).
 	MaxBodyBytes int64
 	// RequestBudget is the end-to-end deadline per proxied request,
-	// covering lane queueing, migration waits, and every retry attempt
+	// covering migration waits and every retry attempt
 	// (default 45s; negative disables).
 	RequestBudget time.Duration
 	// HedgeDelay, when positive, issues one hedged attempt for the
@@ -124,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.AdmitWindow == 0 {
-		c.AdmitWindow = 2 * time.Millisecond
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 16
@@ -277,9 +270,10 @@ type Gateway struct {
 	cancel context.CancelFunc
 
 	// routeMu orders routing decisions against layout/migration swaps:
-	// requests route (and enqueue) under RLock; Reshard installs and
-	// clears the migration under Lock, so after the barrier no request
-	// can be in flight toward a stale lane unseen by the drain step.
+	// requests route (and count themselves in flight) under RLock;
+	// Reshard installs and clears the migration under Lock, so after the
+	// barrier no admit can be in flight toward a stale owner unseen by
+	// the drain step.
 	routeMu sync.RWMutex
 	cur     *layout
 	mig     *migration
@@ -288,12 +282,12 @@ type Gateway struct {
 	reshardMu sync.Mutex
 
 	// pool reuses shard objects by base URL across layouts so breaker
-	// state, in-flight bounds, and lanes survive resharding.
+	// state, in-flight bounds, and admit counts survive resharding.
 	poolMu sync.Mutex
 	pool   map[string]*shard
 
-	// drainMu/idle track live admit-drain and lane goroutines, using the
-	// cond-over-count pattern (a WaitGroup forbids Add racing Wait).
+	// drainMu/idle track live admit forwards, using the cond-over-count
+	// pattern (a WaitGroup forbids Add racing Wait).
 	drainMu sync.Mutex
 	idle    *sync.Cond
 	active  int
@@ -380,7 +374,7 @@ func (g *Gateway) newLayout(epoch uint64, urls []string) (*layout, error) {
 }
 
 // shardFor returns the pooled shard for a base URL, creating it on first
-// use. Pooling keeps breaker and lane state stable across layouts.
+// use. Pooling keeps breaker and admit state stable across layouts.
 func (g *Gateway) shardFor(url string) *shard {
 	g.poolMu.Lock()
 	defer g.poolMu.Unlock()
@@ -392,12 +386,11 @@ func (g *Gateway) shardFor(url string) *shard {
 		transport = http.DefaultTransport
 	}
 	sh := &shard{
-		gw:         g,
-		base:       url,
-		client:     &http.Client{Transport: transport},
-		sem:        make(chan struct{}, g.cfg.MaxInflight),
-		lanes:      map[string][]*admitCall{},
-		laneActive: map[string]bool{},
+		gw:       g,
+		base:     url,
+		client:   &http.Client{Transport: transport},
+		sem:      make(chan struct{}, g.cfg.MaxInflight),
+		inflight: map[string]int{},
 	}
 	g.pool[url] = sh
 	return sh
@@ -416,7 +409,8 @@ func (g *Gateway) Epoch() uint64 { return g.currentLayout().epoch }
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
 
-// Shutdown cancels routing and waits for in-flight admit lanes to drain.
+// Shutdown cancels routing and waits for in-flight admit forwards to
+// settle.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.cancel()
 	done := make(chan struct{})
@@ -564,30 +558,18 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	g.cfg.Registry.Snapshot().WriteJSON(w)
 }
 
-// admitCall is one admission request traversing a shard's batcher: the
-// raw body, the ordering key, the rendezvous the handler waits on, and
-// the tenant quota slot the forward spends. The slot is released when
-// the forward completes — not when the client hangs up — so a flood of
-// cancelled requests cannot outrun the shard capacity the quota models.
+// admitCall is one admission forward: the raw body, the routing key,
+// the rendezvous the handler waits on, and the tenant quota slot the
+// forward spends. The slot is released when the forward completes — not
+// when the client hangs up — so a flood of cancelled requests cannot
+// outrun the shard capacity the quota models.
 type admitCall struct {
-	body      []byte
-	requestID uint64
-	node      string
-	res       *proxyResult
-	err       error
-	done      chan struct{}
-
-	release     func()
-	releaseOnce sync.Once
-}
-
-// settle releases the call's quota slot (idempotent, nil-safe).
-func (cl *admitCall) settle() {
-	cl.releaseOnce.Do(func() {
-		if cl.release != nil {
-			cl.release()
-		}
-	})
+	body    []byte
+	node    string
+	res     *proxyResult
+	err     error
+	done    chan struct{}
+	release func()
 }
 
 // Routing errors placeAdmit can return.
@@ -596,12 +578,13 @@ var (
 	errShuttingDown = fmt.Errorf("cluster: gateway shutting down")
 )
 
-// placeAdmit routes cl to its node's owning shard and enqueues it,
-// honoring an in-flight migration: nodes whose owner is unchanged
-// enqueue immediately (non-moving nodes never stall); nodes mid-handoff
-// park until their state lands on the new owner (conservative-deny) or
-// fail fast, per Config.DegradedMode. Enqueueing happens under routeMu's
-// read lock so the migration barrier can never miss an in-flight entry.
+// placeAdmit routes cl to its node's owning shard and starts its
+// forward, honoring an in-flight migration: nodes whose owner is
+// unchanged go out immediately (non-moving nodes never stall); nodes
+// mid-handoff park until their state lands on the new owner
+// (conservative-deny) or fail fast, per Config.DegradedMode. The forward
+// is counted in flight under routeMu's read lock so the migration
+// barrier can never miss it.
 func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shard, error) {
 	for {
 		g.routeMu.RLock()
@@ -609,7 +592,7 @@ func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shar
 		if mig == nil {
 			lay := g.cur
 			sh := lay.owner(cl.node)
-			sh.enqueue(cl)
+			sh.admit(cl)
 			g.routeMu.RUnlock()
 			return lay, sh, nil
 		}
@@ -617,7 +600,7 @@ func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shar
 		if !mig.frozen(cl.node) {
 			lay := mig.from
 			sh := lay.owner(cl.node)
-			sh.enqueue(cl)
+			sh.admit(cl)
 			g.routeMu.RUnlock()
 			return lay, sh, nil
 		}
@@ -628,7 +611,7 @@ func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shar
 				// waiting for the rest of the migration.
 				lay := mig.to
 				sh := lay.owner(cl.node)
-				sh.enqueue(cl)
+				sh.admit(cl)
 				g.routeMu.RUnlock()
 				return lay, sh, nil
 			default:
@@ -656,10 +639,9 @@ func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shar
 	}
 }
 
-// handleAdmit routes an admission to its node's shard through the
-// per-shard batcher. Only request_id and node are decoded here — full
-// validation is the shard's job; the gateway needs just the routing and
-// ordering keys.
+// handleAdmit routes an admission to its node's owning shard. Only the
+// node is decoded here — full validation, batching and request_id
+// ordering are the shard's job; the gateway needs just the routing key.
 func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
@@ -667,8 +649,7 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var key struct {
-		RequestID uint64 `json:"request_id"`
-		Node      string `json:"node"`
+		Node string `json:"node"`
 	}
 	if err := json.Unmarshal(body, &key); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
@@ -684,11 +665,10 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := g.requestCtx(r)
 	defer cancel()
-	cl := &admitCall{body: body, requestID: key.RequestID, node: key.Node,
-		done: make(chan struct{}), release: release}
+	cl := &admitCall{body: body, node: key.Node, done: make(chan struct{}), release: release}
 	lay, sh, err := g.placeAdmit(ctx, cl)
 	if err != nil {
-		cl.settle()
+		release()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -697,8 +677,8 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	case <-cl.done:
 	case <-ctx.Done():
 		// The client is gone (or the budget fired) but the forward is
-		// already in its lane; the quota slot stays held until the lane
-		// completes it — released there, not here.
+		// already out; the quota slot stays held until the forward
+		// settles — released there, not here.
 		writeError(w, http.StatusServiceUnavailable, ctx.Err().Error())
 		return
 	case <-g.base.Done():
@@ -855,8 +835,8 @@ var errDegraded = fmt.Errorf("cluster: shard degraded; probe pending")
 
 // shard is one rtmdm-serve instance as seen by the gateway: its base
 // URL, the bounded-fan-out semaphore, the failure breaker, and the
-// admission batcher with per-node FIFO lanes. Shards are pooled by URL
-// and survive layout swaps.
+// per-node count of admissions in flight. Shards are pooled by URL and
+// survive layout swaps.
 type shard struct {
 	gw     *Gateway
 	base   string
@@ -870,14 +850,10 @@ type shard struct {
 	lastFail    time.Time
 	probing     bool
 
-	// admission batcher: pending gathers one window's arrivals; lanes
-	// serialize forwards per node so a node's requests reach the shard
-	// in the order the batch sort put them in.
-	amu        sync.Mutex
-	pending    []*admitCall
-	draining   bool
-	lanes      map[string][]*admitCall
-	laneActive map[string]bool
+	// inflight counts each node's admissions between routing and
+	// settlement — what the migration barrier waits on.
+	amu      sync.Mutex
+	inflight map[string]int
 }
 
 func (sh *shard) isDegraded() bool {
@@ -1019,142 +995,50 @@ func (sh *shard) attempt(ctx context.Context, path string, body []byte) (*proxyR
 	return &proxyResult{status: resp.StatusCode, cache: resp.Header.Get("X-Rtmdm-Cache"), body: data}, nil
 }
 
-// enqueue adds an admission to the shard's current batch window,
-// starting the drain goroutine when none is live.
-func (sh *shard) enqueue(cl *admitCall) {
+// admit counts cl in flight for its node and starts its forward.
+// placeAdmit calls it under routeMu's read lock.
+func (sh *shard) admit(cl *admitCall) {
 	sh.amu.Lock()
-	sh.pending = append(sh.pending, cl)
-	if !sh.draining {
-		sh.draining = true
-		sh.gw.addActive()
-		go sh.drainAdmits()
+	sh.inflight[cl.node]++
+	sh.amu.Unlock()
+	sh.gw.addActive()
+	go sh.forwardAdmit(cl)
+}
+
+// forwardAdmit forwards one admission under the gateway's base context,
+// detached from the client: once routed, an admission runs to a verdict
+// (retries included) even if its client hangs up. The quota slot and the
+// in-flight count settle here, when the forward that consumed shard
+// capacity completes, so both track shard work rather than client
+// connections. Batching and request_id ordering happen on the shard, in
+// its admitter.
+func (sh *shard) forwardAdmit(cl *admitCall) {
+	defer sh.gw.endActive()
+	sh.gw.met.forwarded.Inc()
+	cl.res, cl.err = sh.forward(sh.gw.base, "/v1/admit", cl.body)
+	cl.release()
+	sh.amu.Lock()
+	sh.inflight[cl.node]--
+	if sh.inflight[cl.node] == 0 {
+		delete(sh.inflight, cl.node)
 	}
 	sh.amu.Unlock()
+	close(cl.done)
 }
 
-// nodeBusy reports whether the shard still holds queued or in-flight
-// admissions for node — the migration drain barrier polls this after
-// freezing, when no new entries for the node can arrive.
-func (sh *shard) nodeBusy(node string) bool {
-	sh.amu.Lock()
-	defer sh.amu.Unlock()
-	if sh.laneActive[node] || len(sh.lanes[node]) > 0 {
-		return true
-	}
-	for _, cl := range sh.pending {
-		if cl.node == node {
-			return true
-		}
-	}
-	return false
-}
-
-// busyNodes lists the nodes with queued or in-flight admissions for
-// which keep returns true.
+// busyNodes lists the nodes with admissions in flight for which keep
+// returns true.
 func (sh *shard) busyNodes(keep func(string) bool) []string {
 	sh.amu.Lock()
 	defer sh.amu.Unlock()
-	set := map[string]bool{}
-	for node, active := range sh.laneActive {
-		if active && keep(node) {
-			set[node] = true
+	var out []string
+	for node := range sh.inflight {
+		if keep(node) {
+			out = append(out, node)
 		}
-	}
-	for node, q := range sh.lanes {
-		if len(q) > 0 && keep(node) {
-			set[node] = true
-		}
-	}
-	for _, cl := range sh.pending {
-		if keep(cl.node) {
-			set[cl.node] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for node := range set {
-		out = append(out, node)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// drainAdmits gathers one admission window, sorts it by (request_id,
-// node), and feeds the calls into per-node FIFO lanes — so concurrent
-// requests for one node always reach the shard in request_id order, and
-// requests for different nodes fan out in parallel under the shard's
-// in-flight bound. Loops until the queue is empty.
-func (sh *shard) drainAdmits() {
-	defer sh.gw.endActive()
-	for {
-		sh.waitWindow()
-		sh.amu.Lock()
-		batch := sh.pending
-		sh.pending = nil
-		if len(batch) == 0 {
-			sh.draining = false
-			sh.amu.Unlock()
-			return
-		}
-		sort.SliceStable(batch, func(i, j int) bool {
-			if batch[i].requestID != batch[j].requestID {
-				return batch[i].requestID < batch[j].requestID
-			}
-			return batch[i].node < batch[j].node
-		})
-		sh.gw.met.batches.Inc()
-		for _, cl := range batch {
-			sh.lanes[cl.node] = append(sh.lanes[cl.node], cl)
-			if !sh.laneActive[cl.node] {
-				sh.laneActive[cl.node] = true
-				sh.gw.addActive()
-				go sh.runLane(cl.node)
-			}
-		}
-		sh.amu.Unlock()
-	}
-}
-
-// waitWindow sleeps out the batching window, returning early on
-// shutdown (pending admissions are still forwarded, just unbatched).
-func (sh *shard) waitWindow() {
-	if sh.gw.cfg.AdmitWindow <= 0 {
-		return
-	}
-	t := time.NewTimer(sh.gw.cfg.AdmitWindow)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-sh.gw.base.Done():
-	}
-}
-
-// runLane forwards one node's queued admissions sequentially until the
-// lane empties. Sequential-per-node is the determinism contract: the
-// shard sees each node's requests in the batcher's sorted order. Each
-// call's quota slot is settled here, when the forward that consumed
-// shard capacity completes — regardless of whether the client is still
-// listening.
-func (sh *shard) runLane(node string) {
-	defer sh.gw.endActive()
-	for {
-		sh.amu.Lock()
-		q := sh.lanes[node]
-		if len(q) == 0 {
-			delete(sh.lanes, node)
-			sh.laneActive[node] = false
-			delete(sh.laneActive, node)
-			sh.amu.Unlock()
-			return
-		}
-		cl := q[0]
-		sh.lanes[node] = q[1:]
-		sh.amu.Unlock()
-
-		sh.gw.met.forwarded.Inc()
-		cl.res, cl.err = sh.forward(sh.gw.base, "/v1/admit", cl.body)
-		cl.settle()
-		close(cl.done)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -92,7 +92,7 @@ func TestGatewayRoutesAdmitByNode(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	gw, ts := newTestGateway(t, Config{Shards: urls, AdmitWindow: -1})
+	gw, ts := newTestGateway(t, Config{Shards: urls})
 
 	for i := 0; i < 24; i++ {
 		node := fmt.Sprintf("cn-%03d", i)
@@ -106,58 +106,6 @@ func TestGatewayRoutesAdmitByNode(t *testing.T) {
 		}
 		if n := backends[want].served()[node]; n != 1 {
 			t.Fatalf("admit %s: owner backend saw it %d times", node, n)
-		}
-	}
-}
-
-// TestGatewayAdmitLaneOrder: concurrent admissions for one node reach
-// the shard in request_id order — the per-shard determinism contract.
-func TestGatewayAdmitLaneOrder(t *testing.T) {
-	var mu sync.Mutex
-	var order []uint64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			RequestID uint64 `json:"request_id"`
-		}
-		body, _ := io.ReadAll(r.Body)
-		json.Unmarshal(body, &req)
-		mu.Lock()
-		order = append(order, req.RequestID)
-		mu.Unlock()
-		fmt.Fprint(w, `{"admitted": true}`)
-	}))
-	t.Cleanup(backend.Close)
-
-	// A long window so every concurrent request lands in one batch.
-	_, ts := newTestGateway(t, Config{Shards: []string{backend.URL}, AdmitWindow: 300 * time.Millisecond})
-
-	const n = 12
-	ids := []uint64{7, 3, 11, 1, 9, 5, 12, 2, 10, 4, 8, 6}
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/admit", admitJSON(id, "one-node"))
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("id %d: status %d: %s", id, resp.StatusCode, body)
-			}
-		}(id)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != n {
-		t.Fatalf("backend saw %d of %d requests", len(order), n)
-	}
-	for i := 1; i < len(order); i++ {
-		if order[i-1] >= order[i] {
-			t.Fatalf("requests arrived out of request_id order: %v", order)
 		}
 	}
 }
@@ -181,7 +129,7 @@ func TestGatewayRetriesTransientFailures(t *testing.T) {
 	t.Cleanup(backend.Close)
 
 	_, ts := newTestGateway(t, Config{
-		Shards: []string{backend.URL}, AdmitWindow: -1,
+		Shards:  []string{backend.URL},
 		Retries: 2, RetryBackoff: time.Millisecond, FailThreshold: 10,
 	})
 	resp, body := postJSON(t, ts.URL+"/v1/admit", admitJSON(1, "n"))
@@ -216,7 +164,7 @@ func TestGatewayBreakerDegradesAndRecovers(t *testing.T) {
 
 	const probeInterval = 50 * time.Millisecond
 	gw, ts := newTestGateway(t, Config{
-		Shards: []string{backend.URL}, AdmitWindow: -1,
+		Shards:  []string{backend.URL},
 		Retries: -1, FailThreshold: 2, ProbeInterval: probeInterval,
 	})
 
@@ -297,7 +245,7 @@ func TestGatewayTenantQuota(t *testing.T) {
 
 	// budget 4 over free=1, gold=3 (+default share): free's cap is 1.
 	_, ts := newTestGateway(t, Config{
-		Shards: []string{backend.URL}, AdmitWindow: -1,
+		Shards:        []string{backend.URL},
 		TenantWeights: map[string]int{"free": 1, "gold": 3}, TenantBudget: 4,
 	})
 
@@ -336,9 +284,7 @@ func TestGatewayTenantQuota(t *testing.T) {
 		t.Fatalf("429 body/headers not diagnostic: %s", body)
 	}
 
-	// gold still has headroom while free is saturated. Its admission
-	// targets a different node so it rides its own FIFO lane instead of
-	// queueing behind free's blocked request.
+	// gold still has headroom while free is saturated.
 	goldDone := make(chan struct{})
 	go func() {
 		defer close(goldDone)
@@ -414,7 +360,7 @@ func TestGatewayRelaysShardErrors(t *testing.T) {
 		fmt.Fprint(w, `{"error": "unknown model"}`)
 	}))
 	t.Cleanup(backend.Close)
-	_, ts := newTestGateway(t, Config{Shards: []string{backend.URL}, AdmitWindow: -1})
+	_, ts := newTestGateway(t, Config{Shards: []string{backend.URL}})
 
 	resp, body := postJSON(t, ts.URL+"/v1/admit", admitJSON(1, "n"))
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "unknown model") {
@@ -427,7 +373,7 @@ func TestGatewayRejectsBadAdmit(t *testing.T) {
 		t.Error("backend reached for an unroutable admit")
 	}))
 	t.Cleanup(backend.Close)
-	_, ts := newTestGateway(t, Config{Shards: []string{backend.URL}, AdmitWindow: -1})
+	_, ts := newTestGateway(t, Config{Shards: []string{backend.URL}})
 
 	resp, _ := postJSON(t, ts.URL+"/v1/admit", `{"request_id": 1}`)
 	if resp.StatusCode != http.StatusBadRequest {

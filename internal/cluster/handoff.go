@@ -14,8 +14,8 @@ import (
 // This file is the gateway side of live resharding (docs/CLUSTER.md):
 // POST /v1/reshard installs a new epoch-versioned layout and migrates
 // per-node admission state between shards through the export → verify →
-// import → release handoff protocol, freezing only the lanes of nodes
-// that actually change owner. Non-moving nodes — the vast majority when
+// import → release handoff protocol, freezing only the nodes that
+// actually change owner. Non-moving nodes — the vast majority when
 // growing a ring, since virtual points are index-keyed — keep admitting
 // throughout.
 
@@ -112,8 +112,8 @@ func (g *Gateway) Reshard(ctx context.Context, urls []string) (*ReshardResponse,
 
 	// Pre-freeze census: which nodes hold state, and where. Used only to
 	// seed the early-unfreeze channels — the authoritative moving set is
-	// re-gathered after the freeze barrier, when the frozen lanes are
-	// provably quiet.
+	// re-gathered after the freeze barrier, when the frozen nodes'
+	// admissions have provably settled.
 	plan, err := g.gatherStates(ctx, from)
 	if err != nil {
 		g.met.reshardFails.Inc()
@@ -128,8 +128,8 @@ func (g *Gateway) Reshard(ctx context.Context, urls []string) (*ReshardResponse,
 
 	// Barrier: publish the migration. From here every new admit routes
 	// under the migration rules — frozen nodes park, everything else
-	// flows — and no request can be enqueueing toward a stale lane
-	// (enqueue happens under routeMu's read side).
+	// flows — and no admit can be starting toward a stale owner unseen
+	// (placeAdmit counts it in flight under routeMu's read side).
 	g.routeMu.Lock()
 	if g.cur != from {
 		g.routeMu.Unlock()
@@ -172,13 +172,13 @@ func (g *Gateway) Reshard(ctx context.Context, urls []string) (*ReshardResponse,
 	return resp, nil
 }
 
-// migrate runs the post-barrier phases: drain frozen lanes, re-census,
+// migrate runs the post-barrier phases: drain frozen admits, re-census,
 // hand off every node whose owner changes. Returns the partial response
 // (moved-so-far) alongside any error so the abort path can build its
 // overrides.
 func (g *Gateway) migrate(ctx context.Context, mig *migration, plan map[string]nodeHome) (*ReshardResponse, error) {
 	resp := &ReshardResponse{Epoch: mig.to.epoch, Shards: mig.to.urls, Moved: []MovedNode{}}
-	if err := g.drainFrozenLanes(ctx, mig); err != nil {
+	if err := g.drainFrozenAdmits(ctx, mig); err != nil {
 		return resp, err
 	}
 
@@ -220,10 +220,10 @@ func (g *Gateway) migrate(ctx context.Context, mig *migration, plan map[string]n
 	return resp, nil
 }
 
-// drainFrozenLanes waits until no from-shard holds queued or in-flight
-// admissions for a frozen node. Past the barrier frozen nodes gain no
-// new entries, so this strictly drains.
-func (g *Gateway) drainFrozenLanes(ctx context.Context, mig *migration) error {
+// drainFrozenAdmits waits until no from-shard has an admission in
+// flight for a frozen node. Past the barrier frozen nodes gain no new
+// forwards, so this strictly drains.
+func (g *Gateway) drainFrozenAdmits(ctx context.Context, mig *migration) error {
 	tick := 2 * time.Millisecond
 	for {
 		busy := []string{}
@@ -237,7 +237,7 @@ func (g *Gateway) drainFrozenLanes(ctx context.Context, mig *migration) error {
 		case <-time.After(tick):
 		case <-ctx.Done():
 			sort.Strings(busy)
-			return fmt.Errorf("frozen lanes never drained (still busy: %v): %w", busy, ctx.Err())
+			return fmt.Errorf("frozen nodes' admits never settled (still busy: %v): %w", busy, ctx.Err())
 		case <-g.base.Done():
 			return errShuttingDown
 		}

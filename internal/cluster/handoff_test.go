@@ -31,13 +31,19 @@ type fakeShard struct {
 	// blockExport, when a node has an entry, parks /v1/export for that
 	// node until the channel closes — how tests hold a migration open.
 	blockExport map[string]chan struct{}
+	// blockAdmit, when a node has an entry, parks /v1/admit for that
+	// node (after recording its arrival, before committing) until the
+	// channel closes — how tests hold an admission in flight.
+	blockAdmit map[string]chan struct{}
 	// failImport, when set, answers every install with 500.
 	failImport bool
 	admits     []string // "node:request_id" in arrival order
+	exports    []string // nodes whose /v1/export was requested, in order
 }
 
 func newFakeShard(label string) *fakeShard {
-	return &fakeShard{label: label, nodes: map[string][]scenario.TaskSpec{}, blockExport: map[string]chan struct{}{}}
+	return &fakeShard{label: label, nodes: map[string][]scenario.TaskSpec{},
+		blockExport: map[string]chan struct{}{}, blockAdmit: map[string]chan struct{}{}}
 }
 
 func (f *fakeShard) state(node string) (NodeState, bool) {
@@ -94,6 +100,12 @@ func (f *fakeShard) handler() http.Handler {
 		}
 		f.mu.Lock()
 		f.admits = append(f.admits, fmt.Sprintf("%s:%d", req.Node, req.RequestID))
+		gate := f.blockAdmit[req.Node]
+		f.mu.Unlock()
+		if gate != nil {
+			<-gate
+		}
+		f.mu.Lock()
 		f.nodes[req.Node] = append(f.nodes[req.Node], scenario.TaskSpec{
 			Name: req.Task.Name, Model: req.Task.Model, PeriodMs: req.Task.PeriodMs})
 		f.mu.Unlock()
@@ -117,6 +129,7 @@ func (f *fakeShard) handler() http.Handler {
 	mux.HandleFunc("GET /v1/export", func(w http.ResponseWriter, r *http.Request) {
 		node := r.URL.Query().Get("node")
 		f.mu.Lock()
+		f.exports = append(f.exports, node)
 		gate := f.blockExport[node]
 		ns, ok := f.state(node)
 		f.mu.Unlock()
@@ -242,7 +255,7 @@ func reshardTo(t *testing.T, gwURL string, urls []string) (*http.Response, Resha
 func TestReshardMovesStateAndRouting(t *testing.T) {
 	shards, urls := reshardFixture(t, 4)
 	old := urls[:2]
-	gw, ts := newTestGateway(t, Config{Shards: old, AdmitWindow: -1})
+	gw, ts := newTestGateway(t, Config{Shards: old})
 
 	// Seed 12 nodes on their old-ring owners.
 	nodes := []string{}
@@ -338,7 +351,7 @@ func TestReshardNonMovingNodesKeepAdmitting(t *testing.T) {
 		}
 	}
 
-	_, ts := newTestGateway(t, Config{Shards: old, AdmitWindow: -1})
+	_, ts := newTestGateway(t, Config{Shards: old})
 
 	reshardDone := make(chan ReshardResponse, 1)
 	go func() {
@@ -403,6 +416,108 @@ func TestReshardNonMovingNodesKeepAdmitting(t *testing.T) {
 	}
 }
 
+// TestReshardWaitsForInFlightAdmit pins the migration barrier: an admit
+// already forwarded to a moving node's old owner must settle before the
+// handoff exports that node, so the exported state includes its verdict
+// and the admitted task lands on the new owner.
+func TestReshardWaitsForInFlightAdmit(t *testing.T) {
+	shards, urls := reshardFixture(t, 4)
+	old := urls[:2]
+	moving, _ := pickNodes(t, old, urls)
+
+	var from *fakeShard
+	for s, u := range old {
+		if ownerURL(t, old, moving) == u {
+			from = shards[s]
+		}
+	}
+	from.seed(moving, 2)
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // never leave the fake's handler parked on a failure path
+	from.mu.Lock()
+	from.blockAdmit[moving] = gate
+	from.mu.Unlock()
+	_, ts := newTestGateway(t, Config{Shards: old})
+
+	admitted := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/admit", "application/json", strings.NewReader(admitJSON(700, moving)))
+		if err != nil {
+			t.Error(err)
+			admitted <- nil
+			return
+		}
+		resp.Body.Close()
+		admitted <- resp
+	}()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor("the admit to reach the old owner", func() bool {
+		from.mu.Lock()
+		defer from.mu.Unlock()
+		return len(from.admits) == 1
+	})
+
+	reshardDone := make(chan ReshardResponse, 1)
+	go func() {
+		var out ReshardResponse
+		body, _ := json.Marshal(ReshardRequest{Shards: urls})
+		resp, err := http.Post(ts.URL+"/v1/reshard", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+		} else {
+			json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+		}
+		reshardDone <- out
+	}()
+	waitFor("the migration to become visible on /readyz", func() bool {
+		resp, _ := getJSON(t, ts.URL+"/readyz")
+		return resp.StatusCode == http.StatusServiceUnavailable
+	})
+
+	// Give a barrier-ignoring driver ample time to reach the export.
+	time.Sleep(200 * time.Millisecond)
+	from.mu.Lock()
+	early := append([]string(nil), from.exports...)
+	from.mu.Unlock()
+	if len(early) != 0 {
+		t.Fatalf("export of %v requested while an admit for %s was still in flight", early, moving)
+	}
+
+	release()
+	resp := <-admitted
+	if resp == nil {
+		t.FailNow()
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(EpochHeader) != "1" {
+		t.Fatalf("in-flight admit: status %d epoch %q, want 200 under epoch 1",
+			resp.StatusCode, resp.Header.Get(EpochHeader))
+	}
+	if out := <-reshardDone; out.Epoch != 2 {
+		t.Fatalf("reshard did not commit: %+v", out)
+	}
+	newOwner := ownerURL(t, urls, moving)
+	for s, u := range urls {
+		want := 0
+		if u == newOwner {
+			want = 3 // the two seeded tasks plus the in-flight admission
+		}
+		if n := shards[s].taskCount(moving); n != want {
+			t.Fatalf("shard %s holds %d tasks for %s, want %d", u, n, moving, want)
+		}
+	}
+}
+
 // TestReshardFailFastMode: with DegradedMode=fail-fast a frozen node's
 // admission is answered 503 immediately instead of parking.
 func TestReshardFailFastMode(t *testing.T) {
@@ -419,7 +534,7 @@ func TestReshardFailFastMode(t *testing.T) {
 			shards[s].mu.Unlock()
 		}
 	}
-	_, ts := newTestGateway(t, Config{Shards: old, AdmitWindow: -1, DegradedMode: DegradedFailFast})
+	_, ts := newTestGateway(t, Config{Shards: old, DegradedMode: DegradedFailFast})
 
 	reshardDone := make(chan struct{})
 	go func() {
@@ -469,7 +584,7 @@ func TestReshardAbortKeepsServing(t *testing.T) {
 		}
 	}
 	gw, ts := newTestGateway(t, Config{
-		Shards: old, AdmitWindow: -1,
+		Shards: old,
 		Retries: 1, RetryBackoff: time.Millisecond,
 	})
 
@@ -534,7 +649,7 @@ func TestReshardSurvivesChaoticTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestGateway(t, Config{
-		Shards: old, AdmitWindow: -1,
+		Shards: old,
 		Retries: 8, RetryBackoff: time.Millisecond,
 		Transport: transport,
 	})
@@ -585,7 +700,7 @@ func TestReshardRejectsConcurrentMigrations(t *testing.T) {
 			shards[s].mu.Unlock()
 		}
 	}
-	_, ts := newTestGateway(t, Config{Shards: old, AdmitWindow: -1})
+	_, ts := newTestGateway(t, Config{Shards: old})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -634,7 +749,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	t.Cleanup(backend.Close)
 
 	gw, ts := newTestGateway(t, Config{
-		Shards: []string{backend.URL}, AdmitWindow: -1,
+		Shards: []string{backend.URL},
 		Retries: -1, FailThreshold: 1, ProbeInterval: 5 * time.Millisecond,
 	})
 
@@ -650,8 +765,8 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	mu.Unlock()
 	time.Sleep(10 * time.Millisecond) // past ProbeInterval
 
-	// 8 concurrent requests on distinct nodes (so each rides its own
-	// lane): exactly one may probe; the others fail fast.
+	// 8 concurrent requests on distinct nodes: exactly one may probe;
+	// the others fail fast.
 	const n = 8
 	codes := make(chan int, n)
 	var wg sync.WaitGroup
@@ -695,7 +810,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 // TestQuotaReleasedOnClientDisconnect hammers the gateway with requests
 // whose clients vanish mid-flight and pins that every tenant quota slot
 // returns: a cancelled client must not leak the in-flight slot its
-// forward holds (the slot settles when the lane completes the forward).
+// forward holds (the slot settles when the forward completes).
 func TestQuotaReleasedOnClientDisconnect(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(3 * time.Millisecond) // outlive the clients' deadlines
@@ -704,7 +819,7 @@ func TestQuotaReleasedOnClientDisconnect(t *testing.T) {
 	t.Cleanup(backend.Close)
 
 	gw, ts := newTestGateway(t, Config{
-		Shards: []string{backend.URL}, AdmitWindow: -1,
+		Shards: []string{backend.URL},
 		Retries: -1, FailThreshold: 1 << 30,
 		TenantWeights: map[string]int{"free": 1, "gold": 3}, TenantBudget: 40,
 	})

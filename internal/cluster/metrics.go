@@ -71,7 +71,6 @@ type GatewayMetrics struct {
 	degraded     *metrics.Gauge
 	trips        *metrics.Counter
 	quotaRej     *metrics.Counter
-	batches      *metrics.Counter
 	forwarded    *metrics.Counter
 	shardCount   *metrics.Gauge
 	hedged       *metrics.Counter
@@ -103,8 +102,7 @@ func RegisterMetrics(r *metrics.Registry) *GatewayMetrics {
 		degraded:   r.Gauge("gateway.shards_degraded", "shards", "shards currently marked degraded by the failure breaker"),
 		trips:      r.Counter("gateway.breaker_trips", "trips", "times a shard crossed the consecutive-failure threshold into degraded"),
 		quotaRej:   r.Counter("gateway.quota_rejected", "requests", "requests refused with 429 because the tenant was at its weighted in-flight cap"),
-		batches:    r.Counter("gateway.admit_batches", "batches", "per-shard admission batches drained in (request_id, node) order"),
-		forwarded:  r.Counter("gateway.admit_forwarded", "requests", "admission requests forwarded to shards through the per-node FIFO lanes"),
+		forwarded:  r.Counter("gateway.admit_forwarded", "requests", "admission requests forwarded to their node's owning shard"),
 		shardCount: r.Gauge("gateway.shards", "shards", "shards in the routing ring"),
 		hedged:     r.Counter("gateway.hedged_requests", "requests", "read requests that issued a second attempt to the next ring owner (hedge timer or failover)"),
 		epoch:      r.Gauge("gateway.reshard_epoch", "epoch", "current ring epoch (bumps once per completed or aborted reshard)"),

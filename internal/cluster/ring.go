@@ -1,17 +1,17 @@
 // Package cluster scales the admission service horizontally: a
 // consistent-hash ring that maps admission nodes onto rtmdm-serve shard
 // instances, an HTTP gateway that routes /v1/admit, /v1/analyze and
-// /v1/simulate to those shards with per-shard batching, bounded fan-out,
+// /v1/simulate to those shards with bounded fan-out,
 // retry/backoff and degraded-shard isolation, per-tenant quotas with
 // weighted fairness, and a snapshot format for committed admission state
 // so shards restart warm.
 //
 // Determinism is preserved per shard: a node name maps to exactly one
-// shard for a fixed ring (shard list + replica count), admit requests
-// gathered into one gateway batch are forwarded in (request_id, node)
-// order with per-node FIFO lanes, and each shard's own request_id-ordered
-// admission contract then makes the committed state a pure function of
-// the request sequence. See docs/CLUSTER.md.
+// shard for a fixed ring (shard list + replica count), the gateway
+// forwards each admit to that shard without batching or reordering it,
+// and the shard's own request_id-ordered admission contract then makes
+// the committed state a pure function of the request sequence. See
+// docs/CLUSTER.md.
 package cluster
 
 import (

@@ -10,7 +10,7 @@ import (
 
 // GoroLeak requires every `go` statement to have a termination story —
 // the invariant behind the service tier's clean-drain guarantee (the
-// gateway's lane and drain goroutines, the server's admit batches).
+// gateway's admit forwards, the server's admit batches).
 // A spawned goroutine is fine when any of these hold:
 //
 //   - its body's loops all have an exit (a return, a break, or a

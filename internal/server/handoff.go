@@ -31,7 +31,8 @@ var errHandoffConflict = errors.New("server: handoff conflict")
 
 // errNodeBusy maps to 503 + Retry-After: the node has decisions pending
 // or a drain loop still live — a transient condition (the gateway
-// freezes lanes before transferring, so retrying shortly succeeds).
+// waits out the node's in-flight admits before transferring, so
+// retrying shortly succeeds).
 var errNodeBusy = errors.New("server: node busy")
 
 // handleExport serves one node's committed admission state as a sealed
@@ -183,8 +184,9 @@ func (a *admitter) exportNode(label, name string) (*cluster.Snapshot, error) {
 // by hash: importing state the shard already holds succeeds without
 // touching it (installed=false); importing over *different* state is a
 // conflict; importing over a node with decisions in flight is a
-// conflict (the migration driver drains lanes before transferring, so a
-// busy lane means the request is stale or misrouted).
+// conflict (the migration driver waits out the node's in-flight admits
+// before transferring, so a busy node means the request is stale or
+// misrouted).
 func (a *admitter) importNode(snap *cluster.Snapshot) (installed bool, ns *cluster.NodeState, err error) {
 	if len(snap.Nodes) != 1 {
 		return false, nil, fmt.Errorf("server: import wants exactly one node, got %d", len(snap.Nodes))

@@ -82,7 +82,7 @@ EOF
         wait_health "http://127.0.0.1:$((baseport + i))"
     done
     "$workdir/rtmdm-gateway" -addr "127.0.0.1:$gwport" -shards "$urls" \
-        -admit-window=-1ms "$@" >>"$rundir/gateway.log" 2>&1 &
+        "$@" >>"$rundir/gateway.log" 2>&1 &
     echo $! >"$rundir/gateway.pid"
     wait_health "http://127.0.0.1:$gwport"
 }
