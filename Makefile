@@ -24,9 +24,11 @@ lint:
 # Race tier: vet plus the race detector on the concurrent packages
 # (internal/lint is included because its cross-package fact store is
 # shared mutable state; internal/corpus because its runner merges worker
-# outcomes under a shared checkpoint mutex).
+# outcomes under a shared checkpoint mutex; internal/models and
+# internal/scenario because they share one lazily built instance per zoo
+# model across goroutines).
 race: vet
-	$(GO) test -race ./internal/expr ./internal/dse ./internal/workload ./internal/fault ./internal/exec ./internal/server ./internal/analysis ./internal/cluster ./internal/lint ./internal/corpus
+	$(GO) test -race ./internal/expr ./internal/dse ./internal/workload ./internal/fault ./internal/exec ./internal/server ./internal/analysis ./internal/cluster ./internal/lint ./internal/corpus ./internal/models ./internal/scenario
 
 # Fuzz smoke: short coverage-guided runs of the scenario parser/builder,
 # the canonical-hash round trip, and the incremental-vs-cold analysis
@@ -46,8 +48,8 @@ golden:
 	$(GO) run ./cmd/rtmdm-bench -all -quick -csv
 
 # Service smoke: build rtmdm-serve + rtmdm-loadgen, drive a live server,
-# require the cache-hit path to be >= 10x faster than cold analyze, and
-# assert a clean drain on SIGTERM. See docs/SERVER.md.
+# require exact result-cache miss/hit answers and term-cache reuse under
+# admission churn, and assert a clean drain on SIGTERM. See docs/SERVER.md.
 smoke:
 	./scripts/smoke.sh
 

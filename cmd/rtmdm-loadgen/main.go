@@ -6,15 +6,16 @@
 //
 //	rtmdm-loadgen -url http://localhost:8080 [-concurrency 8]
 //	              [-duration 10s] [-mix analyze=4,simulate=4,admit=2]
-//	              [-cold 16] [-quick] [-min-speedup 0]
+//	              [-cold 16] [-quick]
 //	rtmdm-loadgen -url http://localhost:8080 -churn [-churn-nodes 4]
-//	              [-churn-tasks 16] [-hot-frac 0.7] [-min-warm-speedup 0]
+//	              [-churn-tasks 16] [-hot-frac 0.7]
 //
 // The default run has two phases: a calibration phase that measures the
 // cold (cache-miss) and hot (cache-hit) analyze paths on distinct
 // scenarios, then a mixed-load phase at the requested concurrency.
-// -quick shrinks both for CI smoke tests; -min-speedup N fails the
-// process if the measured cache speedup is below N×.
+// Calibration fails the process unless every first request for a
+// scenario is a cache miss and every repeat a hit, so it expects a fresh
+// server. -quick shrinks both phases for CI smoke tests.
 //
 // -churn replaces both phases with an admission churn run against the
 // server's incremental analyzers: a fill phase commits a task set per
@@ -22,8 +23,8 @@
 // term caches cannot help — the cold baseline), then a probe phase
 // interleaves probe additions and removals at a fixed set size, skewed
 // toward one hot node, where every task's terms are served from the
-// analyzer's cache. -min-warm-speedup N fails the process if warm
-// probes are not N× faster than the cold fill; see docs/SERVER.md.
+// analyzer's cache. The run fails unless the server's
+// server.admit_tasks_reused counter shows that reuse; see docs/SERVER.md.
 //
 // -cluster drives an rtmdm-gateway fronting -cluster-shards rtmdm-serve
 // instances with a fixed seed-deterministic workload: mixed tenants
@@ -64,6 +65,7 @@ import (
 	"time"
 
 	"rtmdm/internal/cluster"
+	"rtmdm/internal/metrics"
 )
 
 // opStats is the shared latency/throughput block of the JSON report.
@@ -208,6 +210,27 @@ func (c *client) postAdmit(body string) (res admitResult, status int, latency ti
 	return res, resp.StatusCode, latency, err
 }
 
+// counter reads one counter from the server's /v1/metrics snapshot.
+func (c *client) counter(name string) (int64, error) {
+	resp, err := c.http.Get(c.base + "/v1/metrics")
+	if err != nil {
+		return 0, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		drainClose(resp)
+		return 0, fmt.Errorf("GET /v1/metrics: status %d", resp.StatusCode)
+	}
+	var snap metrics.Snapshot
+	if err := decodeInto(resp, &snap); err != nil {
+		return 0, err
+	}
+	sm, ok := snap.Get(name)
+	if !ok {
+		return 0, fmt.Errorf("metric %s not exported", name)
+	}
+	return sm.Value, nil
+}
+
 // scenarioJSON builds a small two-task scenario whose identity varies
 // with variant, so distinct variants are distinct cache keys. With
 // -corpus, the scenario is drawn from the generated corpus instead
@@ -255,22 +278,30 @@ func churnRemoveBody(id uint64, node, name string) string {
 		id, node, name)
 }
 
-// runChurn measures the admission hot path end to end and returns the
-// warm speedup (cold fill p50 / warm probe p50).
+// runChurn measures the admission hot path end to end. It returns the
+// warm speedup (cold fill p50 / warm probe p50) and an error when the
+// server's term caches served fewer tasks than the probe phase
+// guarantees.
 //
 // Fill: each node commits tasksPerNode tasks in descending period order.
 // Every fill admission evaluates the candidate at a set size the node
 // has never seen, so the incremental analyzer's term caches cannot
 // apply — the latencies are the cold baseline. Probe: an interleaved
 // add/remove cycle (probe-a, probe-b added then removed) holds the
-// evaluated set sizes fixed, so every task's terms — model build,
-// segmentation, demand sums — are served from the cache; that reuse is
-// the warm win. (Under the server's default rt-mdm policy the probe's
-// RTA fixpoints still run cold: its segment budget depends on the task
-// count, so committed bounds are not sound starts at a new set size.)
+// evaluated set sizes fixed, so every task's terms — segmentation and
+// demand sums — are served from the cache; that reuse is the warm win.
+// (Under the server's default rt-mdm policy the probe's RTA fixpoints
+// still run cold: its segment budget depends on the task count, so
+// committed bounds are not sound starts at a new set size.)
 // Operations are skewed toward node 0 by hotFrac, exercising the term
 // LRU under a realistic hot-node pattern.
-func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time.Duration) float64 {
+//
+// The reuse gate is exact, not a latency ratio. A node's probe adds run
+// at only two set sizes (tasksPerNode+1, and +2 while probe-a is still
+// committed), so every add after a node's first two finds the node's
+// tasksPerNode fill tasks in the term cache: server.admit_tasks_reused
+// must grow by at least tasksPerNode for each of them.
+func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time.Duration) (float64, error) {
 	var reqID atomic.Uint64
 	fail := func(op string, res admitResult, status int, err error) {
 		fmt.Fprintf(os.Stderr, "rtmdm-loadgen: churn %s: status %d reason %q err %v\n",
@@ -292,9 +323,14 @@ func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time
 		}
 	}
 
+	reusedBefore, err := c.counter("server.admit_tasks_reused")
+	if err != nil {
+		return 0, err
+	}
 	var warmLat, removeLat []time.Duration
 	rejected := 0
 	cycle := make([]int, nodes)
+	adds := make([]int, nodes)
 	rng := rand.New(rand.NewSource(1))
 	stop := time.Now().Add(duration)
 	for time.Now().Before(stop) {
@@ -319,6 +355,7 @@ func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time
 			if err != nil || status != http.StatusOK {
 				fail("probe add "+nodeName, res, status, err)
 			}
+			adds[j]++
 			if !res.Admitted {
 				rejected++
 			}
@@ -345,14 +382,29 @@ func runChurn(c *client, nodes, tasksPerNode int, hotFrac float64, duration time
 	fmt.Printf("churn probe: n=%d rejected=%d p50=%v p90=%v\n",
 		len(warmLat), rejected, warmP50, percentile(warmLat, 90))
 	fmt.Printf("churn rm   : n=%d p50=%v\n", len(removeLat), percentile(removeLat, 50))
-	if warmP50 <= 0 || len(coldLat) == 0 {
-		fmt.Println("warm speedup: n/a")
-		return 0
+	reusedAfter, err := c.counter("server.admit_tasks_reused")
+	if err != nil {
+		return 0, err
 	}
-	speedup := float64(coldP50) / float64(warmP50)
-	fmt.Printf("warm speedup: %.1fx (cold fill p50 %v / warm probe p50 %v)\n",
-		speedup, coldP50, warmP50)
-	return speedup
+	reused, minReused := reusedAfter-reusedBefore, int64(0)
+	for _, n := range adds {
+		if n > 2 {
+			minReused += int64((n - 2) * tasksPerNode)
+		}
+	}
+	fmt.Printf("term reuse : %d tasks served from cache (floor %d)\n", reused, minReused)
+	if reused < minReused {
+		err = fmt.Errorf("term caches served %d tasks, below the %d the probe phase guarantees", reused, minReused)
+	}
+	speedup := 0.0
+	if warmP50 > 0 && len(coldLat) > 0 {
+		speedup = float64(coldP50) / float64(warmP50)
+		fmt.Printf("warm speedup: %.1fx (cold fill p50 %v / warm probe p50 %v)\n",
+			speedup, coldP50, warmP50)
+	} else {
+		fmt.Println("warm speedup: n/a")
+	}
+	return speedup, err
 }
 
 func parseMix(spec string) (map[string]int, error) {
@@ -400,7 +452,6 @@ func main() {
 		mixSpec     = flag.String("mix", "analyze=4,simulate=4,admit=2", "endpoint weights")
 		cold        = flag.Int("cold", 16, "distinct scenarios in the calibration phase")
 		quick       = flag.Bool("quick", false, "CI smoke preset: -concurrency 4 -duration 2s -cold 8")
-		minSpeedup  = flag.Float64("min-speedup", 0, "fail unless cache speedup (cold p50 / hit p50) reaches this factor")
 		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request client timeout")
 		healthWait  = flag.Duration("health-wait", 10*time.Second, "how long to wait for /healthz")
 
@@ -408,7 +459,6 @@ func main() {
 		churnNodes = flag.Int("churn-nodes", 4, "admission nodes in the churn phase")
 		churnTasks = flag.Int("churn-tasks", 16, "tasks committed per node by the churn fill")
 		hotFrac    = flag.Float64("hot-frac", 0.7, "fraction of churn operations aimed at the hot node")
-		minWarm    = flag.Float64("min-warm-speedup", 0, "fail unless warm admission speedup (cold fill p50 / warm probe p50) reaches this factor")
 
 		clusterMode  = flag.Bool("cluster", false, "drive an rtmdm-gateway cluster with a fixed seed-deterministic workload")
 		clusterShard = flag.Int("cluster-shards", 0, "shard count behind the gateway, mirrors its ring (required with -cluster)")
@@ -520,44 +570,51 @@ func main() {
 
 	if *churn {
 		rep.Mode = "churn"
-		warmSpeedup := runChurn(c, *churnNodes, *churnTasks, *hotFrac, *duration)
+		warmSpeedup, err := runChurn(c, *churnNodes, *churnTasks, *hotFrac, *duration)
 		rep.WarmSpeedup = warmSpeedup
 		emit()
-		if *minWarm > 0 && warmSpeedup < *minWarm {
-			fmt.Fprintf(os.Stderr, "rtmdm-loadgen: warm admission speedup %.1fx below required %.1fx\n",
-				warmSpeedup, *minWarm)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "rtmdm-loadgen: churn:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	speedup := calibrate(c, *cold)
-	rep.CacheSpeedup = speedup
+	rep.CacheSpeedup = calibrate(c, *cold)
 	runMixed(c, mix, *concurrency, *duration, rep)
 	emit()
 
 	if rep.mixedErrors > 0 {
 		os.Exit(1)
 	}
-	if *minSpeedup > 0 && speedup < *minSpeedup {
-		fmt.Fprintf(os.Stderr, "rtmdm-loadgen: cache speedup %.1fx below required %.1fx\n", speedup, *minSpeedup)
-		os.Exit(1)
-	}
 }
 
 // calibrate measures the cold (miss) and hot (hit) analyze paths and
-// returns the p50 speedup factor.
+// returns the p50 speedup factor. It fails the process unless the result
+// cache answers exactly as it must on a fresh server: the first request
+// for each distinct scenario misses and every repeat hits.
 func calibrate(c *client, cold int) float64 {
 	var coldLat, hotLat []time.Duration
+	sent := map[string]bool{}
 	for i := 0; i < cold; i++ {
-		status, cache, lat, err := c.post("/v1/analyze", analyzeBody(i))
+		body := analyzeBody(i)
+		status, cache, lat, err := c.post("/v1/analyze", body)
 		if err != nil || status != http.StatusOK {
 			fmt.Fprintf(os.Stderr, "rtmdm-loadgen: cold analyze %d: status %d err %v\n", i, status, err)
 			os.Exit(1)
 		}
-		if cache == "miss" {
+		want := "miss"
+		if sent[body] {
+			want = "hit"
+		}
+		if cache != want {
+			fmt.Fprintf(os.Stderr, "rtmdm-loadgen: cold analyze %d: X-Rtmdm-Cache %q, want %q (is the server fresh?)\n", i, cache, want)
+			os.Exit(1)
+		}
+		if !sent[body] {
 			coldLat = append(coldLat, lat)
 		}
+		sent[body] = true
 	}
 	const hotRounds = 5
 	for r := 0; r < hotRounds; r++ {
@@ -567,9 +624,11 @@ func calibrate(c *client, cold int) float64 {
 				fmt.Fprintf(os.Stderr, "rtmdm-loadgen: hot analyze %d: status %d err %v\n", i, status, err)
 				os.Exit(1)
 			}
-			if cache == "hit" {
-				hotLat = append(hotLat, lat)
+			if cache != "hit" {
+				fmt.Fprintf(os.Stderr, "rtmdm-loadgen: hot analyze %d: X-Rtmdm-Cache %q, want \"hit\"\n", i, cache)
+				os.Exit(1)
 			}
+			hotLat = append(hotLat, lat)
 		}
 	}
 	coldP50, hotP50 := percentile(coldLat, 50), percentile(hotLat, 50)

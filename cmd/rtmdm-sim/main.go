@@ -39,7 +39,7 @@ func main() {
 		policies   = flag.Bool("policies", false, "list policies and exit")
 		platName   = flag.String("platform", "stm32h743", "platform preset")
 		horizonMs  = flag.Int64("horizon", 1000, "simulation horizon in ms")
-		seed       = flag.Int64("seed", 1, "model weight seed")
+		seed       = flag.Int64("seed", 1, "model weight seed, recorded in the task specs (scheduling results do not depend on it)")
 		dumpTrace  = flag.Bool("dump", false, "dump the full execution trace as text")
 		traceJSON  = flag.String("trace", "", "write the trace in Trace Event Format (Perfetto/chrome://tracing) to this path")
 		traceCSV   = flag.String("trace-csv", "", "write the trace as CSV to this path")

@@ -181,7 +181,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for _, m := range s.Models {
-		if _, err := models.Build(m, 1); err != nil {
+		if _, err := models.Lookup(m); err != nil {
 			return fmt.Errorf("corpus: %w", err)
 		}
 	}

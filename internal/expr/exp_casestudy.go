@@ -35,7 +35,7 @@ func CaseStudySet(plat cost.Platform, pol core.Policy) (*task.Set, error) {
 	lim := pol.Limits(plat, len(caseStudyTasks))
 	var ts []*task.Task
 	for _, ct := range caseStudyTasks {
-		m, err := models.Build(ct.model, modelSeed)
+		m, err := models.Reference(ct.model)
 		if err != nil {
 			return nil, err
 		}

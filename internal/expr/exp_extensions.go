@@ -524,7 +524,7 @@ func runT22(cfg Config) (*Table, error) {
 	}
 	lim := core.RTMDM().Limits(cfg.Platform, 3)
 	for _, name := range models.Names() {
-		m, err := models.Build(name, 1)
+		m, err := models.Reference(name)
 		if err != nil {
 			return nil, err
 		}

@@ -12,8 +12,6 @@ import (
 	"rtmdm/internal/task"
 )
 
-const modelSeed = 1
-
 func init() {
 	register(Experiment{ID: "T1", Title: "Model zoo inventory and segmentation on the default platform", Run: runT1})
 	register(Experiment{ID: "F2", Title: "Single-DNN latency: serial load-then-compute vs RT-MDM prefetch pipeline", Run: runF2})
@@ -35,7 +33,11 @@ func runT1(cfg Config) (*Table, error) {
 	errs := make([]error, len(catalog))
 	parallelEach(len(catalog), func(i int) {
 		info := catalog[i]
-		m := info.Build(modelSeed)
+		m, err := models.Reference(info.Name)
+		if err != nil {
+			errs[i] = err
+			return
+		}
 		pl, err := segment.Build(m, plat, budget, segment.Greedy)
 		if err != nil {
 			errs[i] = err
@@ -69,7 +71,7 @@ func runT1(cfg Config) (*Table, error) {
 // singleJobResponse simulates one isolated inference of the model under a
 // policy and returns the observed response time in ns.
 func singleJobResponse(plat cost.Platform, model string, pol core.Policy) (int64, error) {
-	m, err := models.Build(model, modelSeed)
+	m, err := models.Reference(model)
 	if err != nil {
 		return 0, err
 	}
@@ -113,7 +115,11 @@ func runF2(cfg Config) (*Table, error) {
 			errs[i] = err
 			return
 		}
-		m := info.Build(modelSeed)
+		m, err := models.Reference(info.Name)
+		if err != nil {
+			errs[i] = err
+			return
+		}
 		pl, err := segment.BuildLimits(m, cfg.Platform, core.RTMDM().Limits(cfg.Platform, 1), segment.Greedy)
 		if err != nil {
 			errs[i] = err

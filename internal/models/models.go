@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"rtmdm/internal/nn"
 )
@@ -281,11 +282,58 @@ func Names() []string {
 	return names
 }
 
-// Build constructs a zoo model by name.
-func Build(name string, seed int64) (*nn.Model, error) {
+// Lookup returns the catalog entry of a zoo model without building it.
+func Lookup(name string) (Info, error) {
 	info, ok := catalog[name]
 	if !ok {
-		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
+		return Info{}, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
+	}
+	return info, nil
+}
+
+// Build constructs a fresh zoo model by name with the seed's weights.
+func Build(name string, seed int64) (*nn.Model, error) {
+	info, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return info.Build(seed), nil
+}
+
+// refEntry builds one catalog model's shared instance at most once.
+type refEntry struct {
+	once sync.Once
+	info Info
+	m    *nn.Model
+}
+
+// references holds one entry per catalog model. The map itself is never
+// written after init, so concurrent lookups need no lock.
+var references = func() map[string]*refEntry {
+	refs := make(map[string]*refEntry, len(catalog))
+	for name, info := range catalog {
+		refs[name] = &refEntry{info: info}
+	}
+	return refs
+}()
+
+// Reference returns the shared seed-1 instance of a zoo model, built at
+// most once per name per process; concurrent first lookups converge on
+// one pointer. Every scheduling quantity — shapes, ParamBytes, MACs,
+// activation liveness, and so every segmentation plan, cost and WCRT —
+// is a function of the topology alone, which the seed does not touch.
+// The instance is shared and must be treated as read-only. Callers that
+// execute kernels and need a chosen seed's weights use Build(name, seed).
+func Reference(name string) (*nn.Model, error) {
+	e, ok := references[name]
+	if !ok {
+		_, err := Lookup(name)
+		return nil, err
+	}
+	return e.model(), nil
+}
+
+func (e *refEntry) model() *nn.Model {
+	e.once.Do(func() { e.m = e.info.Build(1) })
+	return e.m
 }

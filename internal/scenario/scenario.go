@@ -32,7 +32,11 @@ type TaskSpec struct {
 	// ModelFile points at a binary model artifact (see nn.Save / the
 	// rtmdm-inspect -export flag). Mutually exclusive with Model.
 	ModelFile string `json:"model_file,omitempty"`
-	// Seed selects the synthetic weights (default 1).
+	// Seed selects the synthetic weights (default 1) for callers that run
+	// the model's kernels (models.Build). Build and BuildTask never read
+	// it: the seed changes weight values, not the topology, so every zoo
+	// task segments the shared models.Reference instance. The field stays
+	// in the schema and in CanonicalHash.
 	Seed int64 `json:"seed,omitempty"`
 	// PeriodMs is the release period in milliseconds.
 	PeriodMs float64 `json:"period_ms"`
@@ -170,7 +174,7 @@ func (sc *Scenario) FaultPlan() (*fault.Plan, error) {
 	return plan, nil
 }
 
-// Build instantiates the scenario: models are built and segmented under
+// Build instantiates the scenario: models are resolved and segmented under
 // the policy's limits, priorities are pinned or assigned rate-monotonic,
 // and SRAM provisioning is verified.
 func (sc *Scenario) Build() (*task.Set, cost.Platform, core.Policy, error) {
@@ -211,12 +215,13 @@ func (sc *Scenario) Build() (*task.Set, cost.Platform, core.Policy, error) {
 }
 
 // BuildTask instantiates one task spec under a platform and segmentation
-// limits: the model is built (zoo name + seed) or loaded (model_file),
-// segmented greedily under lim, and wrapped in a task with converted
-// timing. A pinned Priority is applied; rate-monotonic assignment over a
-// whole set remains the caller's job. This is Build's per-task body,
-// extracted so the admission hot path (internal/analysis) can build and
-// cache tasks one at a time with error behavior identical to Build's.
+// limits: the model is the shared zoo instance (models.Reference) or is
+// loaded (model_file), segmented greedily under lim, and wrapped in a
+// task with converted timing. A pinned Priority is applied;
+// rate-monotonic assignment over a whole set remains the caller's job.
+// This is Build's per-task body, extracted so the admission hot path
+// (internal/analysis) can build and cache tasks one at a time with error
+// behavior identical to Build's.
 // Note lim normally comes from pol.Limits(plat, n): segment budgets
 // depend on the task COUNT of the surrounding set, so a cached build is
 // only reusable at the same n.
@@ -239,12 +244,8 @@ func BuildTask(tsp TaskSpec, plat cost.Platform, lim segment.Limits) (*task.Task
 			return nil, fmt.Errorf("scenario: task %s: %w", tsp.Name, err)
 		}
 	case tsp.Model != "":
-		seed := tsp.Seed
-		if seed == 0 {
-			seed = 1
-		}
 		var err error
-		m, err = models.Build(tsp.Model, seed)
+		m, err = models.Reference(tsp.Model)
 		if err != nil {
 			return nil, err
 		}

@@ -278,6 +278,7 @@ func (a *admitter) decide(n *node, req AdmitRequest) (AdmitResponse, error) {
 		if st.Warm {
 			a.met.admitWarm.Inc()
 		}
+		a.met.admitReused.Add(int64(st.TasksReused))
 	}
 	if err != nil {
 		resp.Reason = err.Error()

@@ -23,6 +23,7 @@ type Metrics struct {
 	admitRejected  *metrics.Counter
 	admitBatches   *metrics.Counter
 	admitWarm      *metrics.Counter
+	admitReused    *metrics.Counter
 }
 
 // latencyBounds buckets request latency from 100µs to 10s (values in
@@ -58,5 +59,6 @@ func RegisterMetrics(r *metrics.Registry) *Metrics {
 		admitRejected:  r.Counter("server.admit_rejected", "tasks", "admission requests rejected by the schedulability test"),
 		admitBatches:   r.Counter("server.admit_batches", "batches", "admission batches drained (each processes its requests in request_id order)"),
 		admitWarm:      r.Counter("server.admit_warm", "requests", "admission evaluations that warm-started at least one RTA fixpoint from the node's committed bounds"),
+		admitReused:    r.Counter("server.admit_tasks_reused", "tasks", "candidate tasks an admission evaluation served from its node's term cache instead of building"),
 	}
 }

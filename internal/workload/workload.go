@@ -41,8 +41,8 @@ func Instrument(r *metrics.Registry) {
 		return
 	}
 	instr.Store(&cacheIns{
-		modelHits:   r.Counter("workload.model_cache_hits", "lookups", "zoo models served from cache"),
-		modelMisses: r.Counter("workload.model_cache_misses", "lookups", "zoo models built from scratch"),
+		modelHits:   r.Counter("workload.model_cache_hits", "lookups", "zoo-model lookups after the first, served by the shared instance"),
+		modelMisses: r.Counter("workload.model_cache_misses", "lookups", "first lookups of a zoo model in this process (at most one per catalog model)"),
 		planHits:    r.Counter("workload.plan_cache_hits", "lookups", "segmentation plans served from cache"),
 		planMisses:  r.Counter("workload.plan_cache_misses", "lookups", "segmentation plans built from scratch"),
 		specHits:    r.Counter("workload.spec_cache_hits", "lookups", "generated specs served from cache"),
@@ -66,7 +66,10 @@ func UUniFast(rng *rand.Rand, n int, total float64) []float64 {
 
 // TaskSpec is the policy-independent description of one task.
 type TaskSpec struct {
-	Model    string
+	Model string
+	// Seed is the task's weight seed (models.Build). Instantiation never
+	// reads it: scheduling uses the shared models.Reference instance,
+	// whose topology every seed shares.
 	Seed     int64
 	Period   sim.Duration
 	Deadline sim.Duration
@@ -113,28 +116,30 @@ type Params struct {
 }
 
 // The generation pipeline is memoized at every level that repeats across
-// sweep points: models, segmentation plans, reference demands, activation
+// sweep points: segmentation plans, reference demands, activation
 // footprints, and whole generated specs. All caches are sync.Map so the
 // parallel experiment harness's workers never serialize on a shared mutex;
 // every cached computation is a pure function of its key, so a racing
 // duplicate compute stores an identical value and determinism is preserved.
 //
-// modelCache avoids rebuilding identical zoo models across thousands of
-// generated sets. Models are immutable once built.
-var modelCache sync.Map // "name/seed" → *nn.Model
+// None of them is keyed on a task's weight seed: plans, demands and
+// footprints read a model's topology alone, so every lookup segments the
+// shared models.Reference instance.
+var refSeen sync.Map // model name → struct{}, for the model-cache counters
 
-func cachedModel(name string, seed int64) (*nn.Model, error) {
-	key := fmt.Sprintf("%s/%d", name, seed)
-	if m, ok := modelCache.Load(key); ok {
-		instr.Load().modelHits.Add(1)
-		return m.(*nn.Model), nil
-	}
-	instr.Load().modelMisses.Add(1)
-	m, err := models.Build(name, seed)
+// refModel returns the shared instance of a zoo model. The model-cache
+// counters count lookups: a miss is the first lookup of a name in this
+// process (at most one per catalog model), every later one a hit.
+func refModel(name string) (*nn.Model, error) {
+	m, err := models.Reference(name)
 	if err != nil {
 		return nil, err
 	}
-	modelCache.Store(key, m)
+	if _, seen := refSeen.LoadOrStore(name, struct{}{}); seen {
+		instr.Load().modelHits.Add(1)
+	} else {
+		instr.Load().modelMisses.Add(1)
+	}
 	return m, nil
 }
 
@@ -144,16 +149,16 @@ func cachedModel(name string, seed int64) (*nn.Model, error) {
 // goroutines. The key includes the full platform fingerprint: WithWeightBuf/
 // WithDCache/WithBandwidth variants keep the platform name but change
 // segmentation, and must not collide.
-var planCache sync.Map // model/seed/limits/platform-fingerprint → *segment.Plan
+var planCache sync.Map // model/limits/platform-fingerprint → *segment.Plan
 
-func cachedPlan(name string, seed int64, plat cost.Platform, lim segment.Limits) (*segment.Plan, error) {
-	key := fmt.Sprintf("%s/%d/%d/%d|%s", name, seed, lim.Bytes, lim.ComputeNs, plat.Fingerprint())
+func cachedPlan(name string, plat cost.Platform, lim segment.Limits) (*segment.Plan, error) {
+	key := fmt.Sprintf("%s/%d/%d|%s", name, lim.Bytes, lim.ComputeNs, plat.Fingerprint())
 	if pl, ok := planCache.Load(key); ok {
 		instr.Load().planHits.Add(1)
 		return pl.(*segment.Plan), nil
 	}
 	instr.Load().planMisses.Add(1)
-	m, err := cachedModel(name, seed)
+	m, err := refModel(name)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +181,7 @@ func refBudget(plat cost.Platform, n int) int64 {
 	return b
 }
 
-// refDemandCache memoizes the reference serial demand per (model, seed,
+// refDemandCache memoizes the reference serial demand per (model,
 // platform, n). Keyed on the full platform fingerprint so cost-model
 // variants of a platform (different D-cache, bandwidth, buffer split) never
 // reuse each other's demands.
@@ -184,12 +189,12 @@ var refDemandCache sync.Map
 
 // refDemand returns the serial (load+compute) nanoseconds of one job of
 // the model at the reference segmentation.
-func refDemand(name string, seed int64, plat cost.Platform, n int) (int64, error) {
-	key := fmt.Sprintf("%s/%d/%d|%s", name, seed, n, plat.Fingerprint())
+func refDemand(name string, plat cost.Platform, n int) (int64, error) {
+	key := fmt.Sprintf("%s/%d|%s", name, n, plat.Fingerprint())
 	if d, ok := refDemandCache.Load(key); ok {
 		return d.(int64), nil
 	}
-	m, err := cachedModel(name, seed)
+	m, err := refModel(name)
 	if err != nil {
 		return 0, err
 	}
@@ -284,7 +289,7 @@ func generate(p Params) (SetSpec, error) {
 	for i := 0; i < p.N; i++ {
 		name := picks[i]
 		seed := int64(rng.Intn(1 << 16))
-		demand, err := refDemand(name, seed, p.Platform, p.N)
+		demand, err := refDemand(name, p.Platform, p.N)
 		if err != nil {
 			return SetSpec{}, err
 		}
@@ -318,7 +323,7 @@ func actFootprint(name string, plat cost.Platform, n int) (int64, int64, error) 
 		f := v.([2]int64)
 		return f[0], f[1], nil
 	}
-	m, err := cachedModel(name, 1)
+	m, err := refModel(name)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -350,7 +355,7 @@ func (sp SetSpec) InstantiateLimits(plat cost.Platform, lim segment.Limits) (*ta
 	}
 	var ts []*task.Task
 	for i, tsp := range sp.Tasks {
-		pl, err := cachedPlan(tsp.Model, tsp.Seed, plat, lim)
+		pl, err := cachedPlan(tsp.Model, plat, lim)
 		if err != nil {
 			return nil, err
 		}

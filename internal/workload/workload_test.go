@@ -198,22 +198,26 @@ func TestInstantiateEmptySpecFails(t *testing.T) {
 }
 
 func TestCacheReturnsEquivalentModels(t *testing.T) {
-	a, err := cachedModel("ds-cnn", 5)
+	a, err := refModel("ds-cnn")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cachedModel("ds-cnn", 5)
+	b, err := refModel("ds-cnn")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("cache did not reuse the model instance")
+	shared, err := models.Reference("ds-cnn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || a != shared {
+		t.Fatal("lookups did not share the reference instance")
 	}
 	fresh, err := models.Build("ds-cnn", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.TotalParamBytes() != a.TotalParamBytes() {
-		t.Fatal("cached model differs from fresh build")
+	if fresh.TotalParamBytes() != a.TotalParamBytes() || fresh.TotalMACs() != a.TotalMACs() {
+		t.Fatal("shared model's accounting differs from a fresh build")
 	}
 }

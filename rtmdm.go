@@ -204,7 +204,6 @@ type System struct {
 type sysTask struct {
 	name     string
 	model    string
-	seed     int64
 	period   Duration
 	deadline Duration
 }
@@ -223,7 +222,7 @@ func (s *System) AddTask(name, model string, period Duration) *System {
 // AddTaskDeadline registers a periodic inference with an explicit relative
 // deadline (constrained: deadline ≤ period).
 func (s *System) AddTaskDeadline(name, model string, period, deadline Duration) *System {
-	s.specs = append(s.specs, sysTask{name: name, model: model, seed: 1,
+	s.specs = append(s.specs, sysTask{name: name, model: model,
 		period: period, deadline: deadline})
 	return s
 }
@@ -238,7 +237,7 @@ func (s *System) Build() (*TaskSet, error) {
 	lim := s.pol.Limits(s.plat, len(s.specs))
 	var ts []*Task
 	for _, sp := range s.specs {
-		m, err := models.Build(sp.model, sp.seed)
+		m, err := models.Reference(sp.model)
 		if err != nil {
 			return nil, err
 		}

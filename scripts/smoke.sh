@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Service smoke test: build rtmdm-serve and rtmdm-loadgen, start the
-# server on an ephemeral port, run the quick load profile with the 10x
-# cache-speedup requirement, then SIGTERM the server and assert it
-# drains cleanly. Exercises bind, serve, cache, admission, and shutdown
-# end to end. A second server (admission batching disabled so per-request
-# latency is visible) then runs the churn profile, asserting the
-# incremental analyzer's warm admissions beat the cold fill by 2x.
+# server on an ephemeral port, run the quick load profile (its
+# calibration fails unless every first analyze misses the result cache
+# and every repeat hits), then SIGTERM the server and assert it drains
+# cleanly. Exercises bind, serve, cache, admission, and shutdown end to
+# end. A second server (admission batching disabled so per-request
+# latency is visible) then runs the churn profile, which fails unless
+# the server's server.admit_tasks_reused counter shows every repeated
+# probe served its node's committed tasks from the term cache.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,7 +26,7 @@ serve_pid=$!
 cleanup_server() { kill "$serve_pid" 2>/dev/null || true; }
 trap 'cleanup_server; rm -rf "$workdir"' EXIT
 
-"$workdir/rtmdm-loadgen" -url "http://$addr" -quick -min-speedup 10
+"$workdir/rtmdm-loadgen" -url "http://$addr" -quick
 
 kill -TERM "$serve_pid"
 drained=1
@@ -54,7 +56,7 @@ churn_addr="127.0.0.1:18100"
 churn_pid=$!
 cleanup_server() { kill "$serve_pid" "$churn_pid" 2>/dev/null || true; }
 
-"$workdir/rtmdm-loadgen" -url "http://$churn_addr" -churn -quick -min-warm-speedup 2
+"$workdir/rtmdm-loadgen" -url "http://$churn_addr" -churn -quick
 
 kill -TERM "$churn_pid"
 wait "$churn_pid" 2>/dev/null || true
