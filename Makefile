@@ -16,9 +16,13 @@ verify:
 vet:
 	$(GO) vet ./...
 
-# Custom analyzers: determinism, millitime, hotpathalloc, metricname,
-# ctxflow, lockhold, goroleak. See docs/STATIC_ANALYSIS.md.
+# gofmt over every Go file (the benchmark's build cache under
+# .bench_build/ excluded), then the custom analyzers: determinism,
+# millitime, hotpathalloc, metricname, ctxflow, lockhold, goroleak. See
+# docs/STATIC_ANALYSIS.md.
 lint:
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/rtmdm-lint ./...
 
 # Race tier: vet plus the race detector on the concurrent packages

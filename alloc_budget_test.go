@@ -7,8 +7,14 @@ import (
 	"testing"
 
 	"rtmdm/internal/analysis"
+	"rtmdm/internal/core"
 	"rtmdm/internal/corpus"
+	"rtmdm/internal/cost"
+	"rtmdm/internal/models"
 	"rtmdm/internal/scenario"
+	"rtmdm/internal/segment"
+	"rtmdm/internal/task"
+	"rtmdm/internal/workload"
 )
 
 // TestSimulateAllocBudget pins the steady-state allocation count of a full
@@ -242,5 +248,111 @@ func TestAdmitWarmAllocBudget(t *testing.T) {
 	const budget = 600
 	if allocs > budget {
 		t.Fatalf("warm admit steady state: %.0f allocs/op, budget %d", allocs, budget)
+	}
+}
+
+// layerSet is the fixed 4-task set of the layer budgets and benchmarks
+// below: a seeded draw on the default platform, instantiated for rt-mdm.
+func layerSet(tb testing.TB) (workload.SetSpec, *task.Set) {
+	tb.Helper()
+	sp, err := workload.Generate(workload.Params{Seed: 3, N: 4, Util: 0.5, Platform: cost.STM32H743})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := sp.Instantiate(cost.STM32H743, core.RTMDM())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sp, s
+}
+
+// TestPipelineNsWithAllocs pins the pipeline recurrence the analyses run
+// in every fixpoint base (and BreakdownFactor's bisection runs per step)
+// at zero allocations: its completion state is a depth-sized ring on the
+// stack, not two per-segment arrays.
+func TestPipelineNsWithAllocs(t *testing.T) {
+	m, err := models.Reference("mobilenetv1-0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := cost.STM32H743
+	pl, err := segment.BuildLimits(m, plat, segment.Limits{Bytes: plat.WeightBufBytes / 8, ComputeNs: 500_000}, segment.Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{1, 2, 4} {
+		allocs := testing.AllocsPerRun(100, func() {
+			pl.PipelineNsWith(depth, 1_000, 2_500, 10, 9, 10, 9)
+		})
+		if allocs != 0 {
+			t.Fatalf("PipelineNsWith depth %d over %d segments: %.0f allocs/op, budget 0", depth, pl.NumSegments(), allocs)
+		}
+	}
+}
+
+// TestInstantiateWarmAllocBudget pins a warm SetSpec.Instantiate (every
+// plan a cache hit): the platform key is computed once per set and plan
+// lookups build no strings. Budget ~20% over the measured steady state
+// (12 allocs/op: the tasks, their names, the set and the platform key;
+// 131 when every lookup formatted the platform with fmt).
+func TestInstantiateWarmAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is wall-time sensitive; skipped in -short")
+	}
+	sp, _ := layerSet(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sp.Instantiate(cost.STM32H743, core.RTMDM()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 14
+	if allocs > budget {
+		t.Fatalf("warm Instantiate of %d tasks: %.0f allocs/op, budget %d", len(sp.Tasks), allocs, budget)
+	}
+}
+
+// TestRTMDMRTAAllocBudget pins one cold RT-MDM response-time analysis of
+// the fixed 4-task set: terms share one segC backing array and the
+// pipeline recurrence allocates nothing. Budget ~20% over the measured
+// steady state (10 allocs/op; 50 with per-task segC slices, a reflective
+// sort swapper and per-call pipeline arrays).
+func TestRTMDMRTAAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is wall-time sensitive; skipped in -short")
+	}
+	_, s := layerSet(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		analysis.RTMDMRTA(s, cost.STM32H743, 2)
+	})
+	const budget = 12
+	if allocs > budget {
+		t.Fatalf("RTMDMRTA on %d tasks: %.0f allocs/op, budget %d", len(s.Tasks), allocs, budget)
+	}
+}
+
+// BenchmarkInstantiateWarm is the segmentation-and-cost layer on the
+// sweep path: one warm SetSpec.Instantiate of the fixed 4-task spec, every
+// plan served by the plan cache.
+func BenchmarkInstantiateWarm(b *testing.B) {
+	sp, _ := layerSet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sp.Instantiate(cost.STM32H743, core.RTMDM()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBreakdownFactor is the analysis-terms layer: a full breakdown
+// bisection of the fixed 4-task set under the RT-MDM analysis, which
+// rebuilds terms and pipeline demands at every step.
+func BenchmarkBreakdownFactor(b *testing.B) {
+	_, s := layerSet(b)
+	test := func(s *task.Set, p cost.Platform) analysis.Verdict { return analysis.RTMDMRTA(s, p, 2) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analysis.BreakdownFactor(s, cost.STM32H743, test, 0.01)
 	}
 }

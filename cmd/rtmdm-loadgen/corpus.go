@@ -63,7 +63,7 @@ func cmixv(h uint64) uint64 {
 // rare indices whose axis draw has no feasible workload.
 func (s *corpusSource) instance(variant int) (corpus.Item, bool) {
 	n := s.gen.Count()
-	idx := int(cmixv(uint64(s.seed) ^ uint64(variant)*0x9e3779b97f4a7c15) % uint64(n))
+	idx := int(cmixv(uint64(s.seed)^uint64(variant)*0x9e3779b97f4a7c15) % uint64(n))
 	for k := 0; k < 4; k++ {
 		it, err := s.gen.At((idx + k) % n)
 		if err == nil {

@@ -42,6 +42,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rtmdm/internal/core"
@@ -104,7 +105,7 @@ type terms struct {
 	// segs is the number of segments; loads counts real (non-zero)
 	// parameter transfers.
 	segs, loads int
-	// segC holds the derated per-segment compute times, descending.
+	// segC holds the derated per-segment compute times, ascending.
 	segC []int64
 }
 
@@ -117,23 +118,31 @@ func mkTerms(s *task.Set, plat cost.Platform, chunkBytes int64) []terms {
 	// only on actual job changes.
 	sw := derate(plat.CPU.SwitchNs, plat.Bus.CPUNum, plat.Bus.CPUDen)
 	out := make([]terms, len(s.Tasks))
+	var nseg int
+	for _, t := range s.Tasks {
+		nseg += len(t.Plan.Segments)
+	}
+	segC := make([]int64, nseg) // one backing array for every task's segC
 	for i, t := range s.Tasks {
 		pl := t.Plan.Chunked(chunkBytes)
+		n := len(pl.Segments)
 		tm := terms{
 			t:       t,
-			sumC:    derate(pl.TotalComputeNs(), plat.Bus.CPUNum, plat.Bus.CPUDen) + sw*int64(t.NumSegments()),
+			sumC:    derate(pl.TotalComputeNs(), plat.Bus.CPUNum, plat.Bus.CPUDen) + sw*int64(n),
 			sumL:    derate(pl.TotalLoadNs(), plat.Bus.DMANum, plat.Bus.DMADen),
 			maxSegC: derate(pl.MaxComputeNs(), plat.Bus.CPUNum, plat.Bus.CPUDen) + sw,
 			maxSegL: derate(t.Plan.MaxChunkNs(chunkBytes), plat.Bus.DMANum, plat.Bus.DMADen),
-			segs:    t.NumSegments(),
+			segs:    n,
+			segC:    segC[:n:n],
 		}
-		for _, seg := range pl.Segments {
-			tm.segC = append(tm.segC, derate(seg.ComputeNs, plat.Bus.CPUNum, plat.Bus.CPUDen)+sw)
+		segC = segC[n:]
+		for k, seg := range pl.Segments {
+			tm.segC[k] = derate(seg.ComputeNs, plat.Bus.CPUNum, plat.Bus.CPUDen) + sw
 			if seg.LoadNs > 0 {
 				tm.loads++
 			}
 		}
-		sort.Slice(tm.segC, func(a, b int) bool { return tm.segC[a] > tm.segC[b] })
+		slices.Sort(tm.segC)
 		out[i] = tm
 	}
 	return out
@@ -147,12 +156,10 @@ func switchCost(plat cost.Platform) int64 {
 // inventoryC bounds the staged-but-uncomputed CPU work a task can hold
 // when a more urgent job releases: its `depth` largest segments.
 func (tm *terms) inventoryC(depth int) int64 {
-	if depth > len(tm.segC) {
-		depth = len(tm.segC)
-	}
+	n := len(tm.segC)
 	var sum int64
-	for k := 0; k < depth; k++ {
-		sum += tm.segC[k]
+	for _, c := range tm.segC[min(n, max(0, n-depth)):] {
+		sum += c
 	}
 	return sum
 }

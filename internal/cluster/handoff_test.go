@@ -88,8 +88,8 @@ func (f *fakeShard) handler() http.Handler {
 			RequestID uint64 `json:"request_id"`
 			Node      string `json:"node"`
 			Task      struct {
-				Name     string `json:"name"`
-				Model    string `json:"model"`
+				Name     string  `json:"name"`
+				Model    string  `json:"model"`
 				PeriodMs float64 `json:"period_ms"`
 			} `json:"task"`
 		}
@@ -584,7 +584,7 @@ func TestReshardAbortKeepsServing(t *testing.T) {
 		}
 	}
 	gw, ts := newTestGateway(t, Config{
-		Shards: old,
+		Shards:  old,
 		Retries: 1, RetryBackoff: time.Millisecond,
 	})
 
@@ -649,7 +649,7 @@ func TestReshardSurvivesChaoticTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestGateway(t, Config{
-		Shards: old,
+		Shards:  old,
 		Retries: 8, RetryBackoff: time.Millisecond,
 		Transport: transport,
 	})
@@ -749,7 +749,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	t.Cleanup(backend.Close)
 
 	gw, ts := newTestGateway(t, Config{
-		Shards: []string{backend.URL},
+		Shards:  []string{backend.URL},
 		Retries: -1, FailThreshold: 1, ProbeInterval: 5 * time.Millisecond,
 	})
 
@@ -819,7 +819,7 @@ func TestQuotaReleasedOnClientDisconnect(t *testing.T) {
 	t.Cleanup(backend.Close)
 
 	gw, ts := newTestGateway(t, Config{
-		Shards: []string{backend.URL},
+		Shards:  []string{backend.URL},
 		Retries: -1, FailThreshold: 1 << 30,
 		TenantWeights: map[string]int{"free": 1, "gold": 3}, TenantBudget: 40,
 	})

@@ -22,6 +22,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -138,12 +139,44 @@ func (p Policy) DepthFor(name string) int {
 	return p.Depth
 }
 
-// Fingerprint returns a deterministic string covering every field that can
-// change the policy's offline pipeline (fmt prints the TaskDepth map in
-// sorted key order). Two policies with equal fingerprints segment, provision,
-// and analyze identically, so the string is safe as a memoization key.
-func (p Policy) Fingerprint() string {
-	return fmt.Sprintf("%+v", p)
+// PolicyKey is a comparable identity of a Policy, for memoization keys:
+// two policies have equal keys iff every field is equal, a nil TaskDepth
+// map told apart from an empty one (Validate treats them differently).
+// Policy holds a map and cannot be a map key itself.
+type PolicyKey struct {
+	name                      string
+	jobLevelNP, edf, prefetch bool
+	depth                     int
+	dma                       DMAOrder
+	maxSegNs, chunkBytes      int64
+	// taskDepth is TaskDepth in ascending name order (length-prefixed
+	// name, then depth) after a one-byte non-nil marker; "" when nil.
+	taskDepth string
+	overrun   OverrunPolicy
+}
+
+// Key returns the policy's memoization key, without fmt or reflection.
+func (p Policy) Key() PolicyKey {
+	k := PolicyKey{
+		name: p.Name, jobLevelNP: p.JobLevelNP, edf: p.EDF, prefetch: p.PrefetchAcrossJobs,
+		depth: p.Depth, dma: p.DMA, maxSegNs: p.MaxSegNs, chunkBytes: p.ChunkBytes,
+		overrun: p.Overrun,
+	}
+	if p.TaskDepth != nil {
+		names := make([]string, 0, len(p.TaskDepth))
+		for name := range p.TaskDepth {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b := []byte{1}
+		for _, name := range names {
+			b = binary.AppendUvarint(b, uint64(len(name)))
+			b = append(b, name...)
+			b = binary.AppendVarint(b, int64(p.TaskDepth[name]))
+		}
+		k.taskDepth = string(b)
+	}
+	return k
 }
 
 // DefaultGranularityNs is the default preemption granularity budget δ₀:
@@ -351,12 +384,8 @@ func Provision(s *task.Set, plat cost.Platform, p Policy) error {
 	actSRAM := plat.SRAMBytes - plat.WeightBufBytes
 	var actNeed int64
 	for _, t := range s.Tasks {
-		if t.Plan.Model == nil {
-			continue // synthetic plans (tests) carry no activation data
-		}
-		if peak := t.Plan.Model.PeakActivationBytes(); peak > actNeed {
-			actNeed = peak
-		}
+		// Synthetic plans (tests) carry no model and report 0.
+		actNeed = max(actNeed, t.Plan.PeakActivationBytes())
 	}
 	if !p.JobLevelNP {
 		var resident int64

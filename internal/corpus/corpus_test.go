@@ -220,7 +220,7 @@ func TestInjectedBugTripsOracle(t *testing.T) {
 		t.Skip("corpus sweep in -short mode")
 	}
 	s := testSpec(40)
-	s.Utils = []float64{1.5}      // far past the schedulability boundary
+	s.Utils = []float64{1.5} // far past the schedulability boundary
 	s.FaultProfiles = []string{"none"}
 	g, err := NewGenerator(s)
 	if err != nil {

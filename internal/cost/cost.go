@@ -6,8 +6,10 @@
 package cost
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"rtmdm/internal/nn"
 	"rtmdm/internal/uarch"
@@ -241,14 +243,59 @@ func (p Platform) Validate() error {
 	return nil
 }
 
-// Fingerprint returns a deterministic string covering every cost-relevant
-// field of the platform — clock, throughput tables (fmt prints maps in
-// sorted key order), memory timing, SRAM partition, bus contention, D-cache.
-// Two platforms with equal fingerprints produce identical segmentation and
-// analysis results, so the string is safe as a memoization key. Platform
-// itself contains a map and cannot be a map key directly.
-func (p Platform) Fingerprint() string {
-	return fmt.Sprintf("%+v", p)
+// PlatformKey is a comparable identity of a Platform, for memoization keys:
+// two platforms have equal keys iff every field is equal, floats compared
+// by their bits and a nil MACsPerCycle map told apart from an empty one.
+// Platform holds a map and cannot be a map key itself.
+type PlatformKey struct {
+	name, cpuName string
+	hz            int64
+	// macs is MACsPerCycle in ascending kind order, 16 bytes per entry
+	// (kind, float bits) after a one-byte non-nil marker; "" when nil.
+	macs               string
+	defaultMACs        uint64
+	overhead, switchNs int64
+	dcache             uarch.Cache
+	mem                MemProfile
+	sram, weightBuf    int64
+	bus                Contention
+	cpuMw, idleMw      uint64
+	dmaMw, flashNjPerB uint64
+}
+
+// Key returns the platform's memoization key. It reads every field without
+// fmt or reflection; hot paths compute it once and reuse it.
+func (p Platform) Key() PlatformKey {
+	return PlatformKey{
+		name: p.Name, cpuName: p.CPU.Name, hz: p.CPU.Hz,
+		macs:        macsKey(p.CPU.MACsPerCycle),
+		defaultMACs: math.Float64bits(p.CPU.DefaultMACsPerCycle),
+		overhead:    p.CPU.LayerOverheadCycles, switchNs: p.CPU.SwitchNs,
+		dcache: p.CPU.DCache, mem: p.Mem,
+		sram: p.SRAMBytes, weightBuf: p.WeightBufBytes, bus: p.Bus,
+		cpuMw: math.Float64bits(p.Energy.CPUActiveMw), idleMw: math.Float64bits(p.Energy.IdleMw),
+		dmaMw: math.Float64bits(p.Energy.DMAActiveMw), flashNjPerB: math.Float64bits(p.Energy.FlashReadNjPerByte),
+	}
+}
+
+// macsKey encodes a throughput table in ascending kind order.
+func macsKey(m map[nn.Kind]float64) string {
+	if m == nil {
+		return ""
+	}
+	var kbuf [16]nn.Kind
+	kinds := kbuf[:0]
+	for k := range m {
+		kinds = append(kinds, k)
+	}
+	slices.Sort(kinds)
+	var bbuf [1 + 16*16]byte
+	b := append(bbuf[:0], 1)
+	for _, k := range kinds {
+		b = binary.LittleEndian.AppendUint64(b, uint64(k))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m[k]))
+	}
+	return string(b)
 }
 
 // WithWeightBuf returns a copy of the platform with a different staging

@@ -856,10 +856,7 @@ func (r *runner) onComputeDone(j *job, seg segment.Segment) {
 // With core.Provision satisfied this can never trip; it exists to validate
 // the provisioning rule empirically on every simulated schedule.
 func (r *runner) accountActivations(running *job, seg segment.Segment) {
-	var resident int64
-	if running.rt.t.Plan.Model != nil {
-		resident = running.rt.t.Plan.Model.PeakActivationBytes()
-	}
+	resident := running.rt.t.Plan.PeakActivationBytes()
 	for _, rt := range r.rts {
 		j := rt.head()
 		if j == nil || j == running || j.nextCompute == 0 {

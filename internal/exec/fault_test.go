@@ -70,12 +70,12 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 		)
 	}
 	cfg := fault.Config{
-		Seed:               11,
-		OverrunRate:        0.5,
-		OverrunFactor:      1.5,
-		OverrunFactorMax:   3,
-		ReleaseJitterRate:  0.5,
-		ReleaseJitterMaxMs: 0.2,
+		Seed:                  11,
+		OverrunRate:           0.5,
+		OverrunFactor:         1.5,
+		OverrunFactorMax:      3,
+		ReleaseJitterRate:     0.5,
+		ReleaseJitterMaxMs:    0.2,
 		DMASlowdownRatePerSec: 200, DMASlowdownMs: 0.5, DMASlowdownFactor: 2,
 		TransferFaultRate: 0.3,
 	}

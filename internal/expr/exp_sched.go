@@ -63,12 +63,18 @@ type acceptResult struct {
 	s   *task.Set
 }
 
-// acceptCache memoizes accepted() on (spec, platform, policy) fingerprints.
+// acceptCache memoizes accepted() on (spec, platform, policy) keys.
 // The offline pipeline is deterministic in those inputs, so sweep points
 // that revisit a configuration — F4/F6/F7 share specs at U=0.6, T18 re-runs
 // the default δ, benchmarks iterate whole experiments — skip segmentation,
 // provisioning and analysis entirely.
-var acceptCache sync.Map
+var acceptCache sync.Map // acceptKey → acceptResult
+
+type acceptKey struct {
+	spec workload.SpecKey
+	plat cost.PlatformKey
+	pol  core.PolicyKey
+}
 
 // cacheIns carries the harness's cache-effectiveness counters (nil metrics
 // when instrumentation is off). rtmdm-bench -metrics snapshots the registry
@@ -100,7 +106,7 @@ func Instrument(r *metrics.Registry) {
 // Results are memoized; callers must treat the returned verdict and set as
 // read-only.
 func accepted(sp workload.SetSpec, plat cost.Platform, pol core.Policy) (bool, *analysis.Verdict, *task.Set) {
-	key := sp.Fingerprint() + "|" + plat.Fingerprint() + "|" + pol.Fingerprint()
+	key := acceptKey{spec: sp.Key(), plat: plat.Key(), pol: pol.Key()}
 	if r, ok := acceptCache.Load(key); ok {
 		instr.Load().hits.Add(1)
 		ar := r.(acceptResult)

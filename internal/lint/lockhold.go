@@ -230,10 +230,10 @@ var stdBlockers = map[string]map[string]string{
 		"Get": "http.Get", "Post": "http.Post", "PostForm": "http.PostForm", "Head": "http.Head",
 		"Client.Do": "http.Client.Do", "Client.Get": "http.Client.Get",
 		"Client.Post": "http.Client.Post", "Client.PostForm": "http.Client.PostForm",
-		"Client.Head": "http.Client.Head",
+		"Client.Head":  "http.Client.Head",
 		"Server.Serve": "http.Server.Serve", "Server.ListenAndServe": "http.Server.ListenAndServe",
 		"Server.ListenAndServeTLS": "http.Server.ListenAndServeTLS",
-		"Server.Shutdown": "http.Server.Shutdown",
+		"Server.Shutdown":          "http.Server.Shutdown",
 	},
 	"os/exec": {
 		"Cmd.Run": "exec.Cmd.Run", "Cmd.Wait": "exec.Cmd.Wait",

@@ -90,9 +90,11 @@ func TestSeedChangesWeightsOnly(t *testing.T) {
 				if d := nodeDiff(nd, ref.Nodes[i]); d != "" {
 					t.Fatalf("%s seed %d node %d: %s differs from seed 1", name, seed, i, d)
 				}
-				if m.LiveBytesAfter(i) != ref.LiveBytesAfter(i) {
-					t.Fatalf("%s seed %d node %d: LiveBytesAfter differs from seed 1", name, seed, i)
-				}
+			}
+			ma, md := m.Liveness()
+			ra, rd := ref.Liveness()
+			if !reflect.DeepEqual(ma, ra) || !reflect.DeepEqual(md, rd) {
+				t.Fatalf("%s seed %d: Liveness differs from seed 1", name, seed)
 			}
 			if m.PeakActivationBytes() != ref.PeakActivationBytes() {
 				t.Fatalf("%s seed %d: PeakActivationBytes differs from seed 1", name, seed)

@@ -129,52 +129,56 @@ func (m *Model) PeakActivationBytes() int64 {
 	return peak
 }
 
-// LiveBytesAfter returns the bytes of activation tensors that are still
-// live after node `node` has executed: outputs of nodes ≤ node (and the
-// model input) that some node > node still consumes, plus the model output
-// once produced. It is the state a preempted job must keep resident when
-// paused at the boundary after `node`.
-func (m *Model) LiveBytesAfter(node int) int64 {
-	if node < 0 || node >= len(m.Nodes) {
-		return 0
-	}
+// Liveness returns the activation liveness of every node, computed in one
+// O(V+E) pass. after[i] is the bytes still live once node i has executed:
+// outputs of nodes ≤ i (and the model input) that a later node consumes,
+// plus the model output once produced — the state a preempted job keeps
+// resident when paused at the boundary after node i. during[i] is the bytes
+// resident while node i executes: after[i-1] (the model input for node 0)
+// plus node i's output. A never-consumed node other than the output is dead
+// as soon as it is produced here, unlike in PeakActivationBytes, which
+// keeps it live to the end.
+func (m *Model) Liveness() (after, during []int64) {
+	n := len(m.Nodes)
+	buf := make([]int64, 2*n)
+	after, during = buf[:n:n], buf[n:]
 	size := func(i int) int64 {
 		if i == -1 {
 			return int64(m.Input.Elems())
 		}
 		return int64(m.Nodes[i].Layer.OutShape().Elems())
 	}
+	// lastUse[i+1] is the last node consuming node i's output (slot 0: the
+	// model input), -1 when no node does.
+	lastUse := make([]int, n+1)
+	for i := range lastUse {
+		lastUse[i] = -1
+	}
+	for i, nd := range m.Nodes {
+		for _, in := range nd.Inputs {
+			lastUse[in+1] = i
+		}
+	}
 	var live int64
-	for src := -1; src <= node; src++ {
-		needed := src == m.Output && src <= node
-		for i := node + 1; i < len(m.Nodes) && !needed; i++ {
-			for _, in := range m.Nodes[i].Inputs {
-				if in == src {
-					needed = true
-					break
-				}
+	if lastUse[0] >= 0 {
+		live = size(-1)
+	}
+	prev := size(-1)
+	for i, nd := range m.Nodes {
+		during[i] = prev + size(i)
+		if i == m.Output || lastUse[i+1] > i {
+			live += size(i)
+		}
+		for _, in := range nd.Inputs {
+			if lastUse[in+1] == i && in != m.Output {
+				live -= size(in)
+				lastUse[in+1] = n // released; a repeated input must not release twice
 			}
 		}
-		if needed {
-			live += size(src)
-		}
+		after[i] = live
+		prev = live
 	}
-	return live
-}
-
-// LiveBytesDuring returns the activation bytes resident while node `node`
-// executes: everything live after node-1 plus the output being produced.
-func (m *Model) LiveBytesDuring(node int) int64 {
-	if node < 0 || node >= len(m.Nodes) {
-		return 0
-	}
-	var prev int64
-	if node == 0 {
-		prev = int64(m.Input.Elems())
-	} else {
-		prev = m.LiveBytesAfter(node - 1)
-	}
-	return prev + int64(m.Nodes[node].Layer.OutShape().Elems())
+	return after, during
 }
 
 // Forward runs the whole graph on one input tensor.

@@ -1,40 +1,95 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
+// liveBytesAfter is the direct O(n²·E) definition Liveness must match: the
+// bytes of activation tensors still live after node `node` has executed —
+// outputs of nodes ≤ node (and the model input) that some node > node
+// consumes, plus the model output once produced.
+func liveBytesAfter(m *Model, node int) int64 {
+	var live int64
+	for src := -1; src <= node; src++ {
+		needed := src == m.Output
+		for i := node + 1; i < len(m.Nodes) && !needed; i++ {
+			for _, in := range m.Nodes[i].Inputs {
+				if in == src {
+					needed = true
+					break
+				}
+			}
+		}
+		if needed {
+			live += nodeBytes(m, src)
+		}
+	}
+	return live
+}
+
+// liveBytesDuring is the direct definition of Liveness's during[node]:
+// everything live after node-1 (the model input for node 0) plus the
+// output being produced.
+func liveBytesDuring(m *Model, node int) int64 {
+	prev := nodeBytes(m, -1)
+	if node > 0 {
+		prev = liveBytesAfter(m, node-1)
+	}
+	return prev + nodeBytes(m, node)
+}
+
+func nodeBytes(m *Model, i int) int64 {
+	if i == -1 {
+		return int64(m.Input.Elems())
+	}
+	return int64(m.Nodes[i].Layer.OutShape().Elems())
+}
+
+// checkLiveness asserts Liveness equals the direct definitions at every node.
+func checkLiveness(t *testing.T, m *Model) {
+	t.Helper()
+	after, during := m.Liveness()
+	if len(after) != len(m.Nodes) || len(during) != len(m.Nodes) {
+		t.Fatalf("%s: Liveness lengths %d/%d, want %d", m.Name, len(after), len(during), len(m.Nodes))
+	}
+	for i := range m.Nodes {
+		if want := liveBytesAfter(m, i); after[i] != want {
+			t.Fatalf("%s node %d: after = %d, want %d", m.Name, i, after[i], want)
+		}
+		if want := liveBytesDuring(m, i); during[i] != want {
+			t.Fatalf("%s node %d: during = %d, want %d", m.Name, i, during[i], want)
+		}
+	}
+}
+
 func TestLiveBytesChain(t *testing.T) {
-	// input(16) → relu(16) → flatten(16) → softmax needs 1x1xC… use a
-	// simple chain: input 2x2x4 → relu → gap(4).
+	// A simple chain: input 2x2x4 → relu → gap(4).
 	qp := q(1.0/32, 0)
 	in := Shape{2, 2, 4}
 	b := NewBuilder("live", in, qp)
 	b.Add(NewReLU("r", in, qp))
 	b.Add(NewGlobalAvgPool("g", in, qp, qp))
 	m := b.MustBuild()
+	checkLiveness(t, m)
+	after, during := m.Liveness()
 
 	// After node 0 (relu): its output (16) is needed by gap; input dead.
-	if got := m.LiveBytesAfter(0); got != 16 {
-		t.Fatalf("LiveBytesAfter(relu) = %d, want 16", got)
+	if after[0] != 16 {
+		t.Fatalf("after(relu) = %d, want 16", after[0])
 	}
 	// After node 1 (gap, the output): only the model output (4) remains.
-	if got := m.LiveBytesAfter(1); got != 4 {
-		t.Fatalf("LiveBytesAfter(gap) = %d, want 4", got)
+	if after[1] != 4 {
+		t.Fatalf("after(gap) = %d, want 4", after[1])
 	}
 	// During node 1: relu output (16) + gap output (4).
-	if got := m.LiveBytesDuring(1); got != 20 {
-		t.Fatalf("LiveBytesDuring(gap) = %d, want 20", got)
+	if during[1] != 20 {
+		t.Fatalf("during(gap) = %d, want 20", during[1])
 	}
 	// During node 0: model input (16) + relu output (16).
-	if got := m.LiveBytesDuring(0); got != 32 {
-		t.Fatalf("LiveBytesDuring(relu) = %d, want 32", got)
-	}
-	// Out-of-range queries are zero.
-	if m.LiveBytesAfter(-1) != 0 || m.LiveBytesAfter(99) != 0 ||
-		m.LiveBytesDuring(-1) != 0 || m.LiveBytesDuring(99) != 0 {
-		t.Fatal("out-of-range liveness not zero")
+	if during[0] != 32 {
+		t.Fatalf("during(relu) = %d, want 32", during[0])
 	}
 }
 
@@ -52,15 +107,66 @@ func TestLiveBytesSkipConnection(t *testing.T) {
 	n2 := b.Add(mk("c2"))
 	b.Add(NewAdd("add", in, qp, qp, qp, false), n1, n2)
 	m := b.MustBuild()
+	checkLiveness(t, m)
 	// After c2: c1 out (32) + c2 out (32) both live for the add.
-	if got := m.LiveBytesAfter(1); got != 64 {
-		t.Fatalf("LiveBytesAfter(c2) = %d, want 64", got)
+	if after, _ := m.Liveness(); after[1] != 64 {
+		t.Fatalf("after(c2) = %d, want 64", after[1])
 	}
 	if m.OutShape() != in {
 		t.Fatalf("OutShape = %v", m.OutShape())
 	}
 	if m.NumLayers() != 3 {
 		t.Fatalf("NumLayers = %d", m.NumLayers())
+	}
+}
+
+// TestLivenessRandomDAGs checks the one-pass liveness against the direct
+// definitions on seeded random graphs with the shapes a hand-written model
+// rarely has: multi-consumer edges, a node consumed twice by one layer,
+// never-consumed nodes, an output that is not the last node, and a model
+// input consumed late.
+func TestLivenessRandomDAGs(t *testing.T) {
+	qp := q(1.0/32, 0)
+	var multiConsumer, neverConsumed, outputNotLast int
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(12)
+		m := &Model{Name: fmt.Sprintf("dag-%d", seed), Input: Shape{1, 1, 1 + rng.Intn(8)}, InQuant: qp}
+		for i := 0; i < n; i++ {
+			// Every node is an elementwise Add so any two earlier tensors
+			// can feed it; output sizes vary through the input shape each
+			// node declares (liveness reads OutShape only).
+			sh := Shape{1, 1, 1 + rng.Intn(16)}
+			a, b := rng.Intn(i+1)-1, rng.Intn(i+1)-1
+			if rng.Intn(4) == 0 {
+				b = a // one layer consuming a tensor twice
+			}
+			m.Nodes = append(m.Nodes, Node{Layer: NewAdd(fmt.Sprintf("n%d", i), sh, qp, qp, qp, false), Inputs: []int{a, b}})
+		}
+		m.Output = rng.Intn(n)
+		checkLiveness(t, m)
+
+		consumers := make([]int, n+1) // slot 0: the model input
+		for _, nd := range m.Nodes {
+			for _, in := range nd.Inputs {
+				consumers[in+1]++
+			}
+		}
+		for i := 0; i < n; i++ {
+			if consumers[i+1] > 1 {
+				multiConsumer++
+			}
+			if consumers[i+1] == 0 && i != m.Output {
+				neverConsumed++
+			}
+		}
+		if m.Output != n-1 {
+			outputNotLast++
+		}
+	}
+	if multiConsumer == 0 || neverConsumed == 0 || outputNotLast == 0 {
+		t.Fatalf("random graphs missed a case: multi-consumer %d, never-consumed %d, output-not-last %d",
+			multiConsumer, neverConsumed, outputNotLast)
 	}
 }
 

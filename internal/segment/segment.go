@@ -73,7 +73,15 @@ type Plan struct {
 	// BudgetBytes is the per-segment staging limit the plan was built for.
 	BudgetBytes int64
 	Segments    []Segment
+	// peakAct is Model.PeakActivationBytes(), computed once by BuildLimits
+	// so dispatch and provisioning checks only read it.
+	peakAct int64
 }
+
+// PeakActivationBytes returns the model's peak live activation bytes
+// (nn.Model.PeakActivationBytes), computed when the plan was built; 0 for
+// plans without a model.
+func (pl *Plan) PeakActivationBytes() int64 { return pl.peakAct }
 
 // Limits bounds a segment along both axes: staged parameter bytes (SRAM
 // feasibility) and compute time (non-preemptive region length — the
@@ -195,6 +203,7 @@ func BuildLimits(m *nn.Model, p cost.Platform, lim Limits, policy Policy) (*Plan
 	if len(pl.Segments) == 0 {
 		return nil, fmt.Errorf("segment: model %s produced no segments", m.Name)
 	}
+	liveAfter, liveDuring := m.Liveness()
 	for i := range pl.Segments {
 		s := &pl.Segments[i]
 		s.ComputeNs = p.CPU.CyclesToNs(s.ComputeCycles)
@@ -204,13 +213,14 @@ func BuildLimits(m *nn.Model, p cost.Platform, lim Limits, policy Policy) (*Plan
 		}
 		last := s.Parts[len(s.Parts)-1]
 		if last.Whole() {
-			s.ResidentBytes = m.LiveBytesAfter(last.Node)
+			s.ResidentBytes = liveAfter[last.Node]
 		} else {
 			// A mid-layer boundary keeps the layer's input and its
 			// partially-written output resident.
-			s.ResidentBytes = m.LiveBytesDuring(last.Node)
+			s.ResidentBytes = liveDuring[last.Node]
 		}
 	}
+	pl.peakAct = m.PeakActivationBytes()
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
@@ -423,14 +433,16 @@ func (pl *Plan) PipelineNsWith(depth int, extraLoadNs, extraCompNs, loadDen, loa
 	if depth < 1 {
 		panic(fmt.Sprintf("segment: pipeline depth %d", depth))
 	}
-	n := len(pl.Segments)
-	loadDone := make([]int64, n+1)
-	compDone := make([]int64, n+1)
-	get := func(a []int64, j int) int64 {
-		if j < 0 {
-			return 0
-		}
-		return a[j]
+	// compDone[j] depends on compDone[j-1] and compDone[j-depth] only, so
+	// a ring of the last `depth` completions replaces the per-segment
+	// arrays; slot j%depth holds compDone[j-depth] until step j overwrites
+	// it (unwritten slots are the zero of compDone[≤0]).
+	var stack [16]int64
+	ring := stack[:]
+	if depth > len(stack) {
+		ring = make([]int64, depth)
+	} else {
+		ring = ring[:depth]
 	}
 	scale := func(v, den, num int64) int64 {
 		if den == num {
@@ -438,8 +450,8 @@ func (pl *Plan) PipelineNsWith(depth int, extraLoadNs, extraCompNs, loadDen, loa
 		}
 		return (v*den + num - 1) / num
 	}
-	for j := 1; j <= n; j++ {
-		s := pl.Segments[j-1]
+	var loadDone, compDone int64
+	for j, s := range pl.Segments {
 		load := scale(s.LoadNs, loadDen, loadNum)
 		if s.LoadNs > 0 {
 			// Zero-byte segments never visit the DMA and are staged the
@@ -447,16 +459,10 @@ func (pl *Plan) PipelineNsWith(depth int, extraLoadNs, extraCompNs, loadDen, loa
 			// only applies to real transfers.
 			load += extraLoadNs
 		}
-		ld := get(loadDone, j-1)
-		if prior := get(compDone, j-depth); prior > ld {
-			ld = prior
-		}
-		loadDone[j] = ld + load
-		cd := get(compDone, j-1)
-		if loadDone[j] > cd {
-			cd = loadDone[j]
-		}
-		compDone[j] = cd + scale(s.ComputeNs, compDen, compNum) + extraCompNs
+		slot := &ring[(j+1)%depth]
+		loadDone = max(loadDone, *slot) + load
+		compDone = max(compDone, loadDone) + scale(s.ComputeNs, compDen, compNum) + extraCompNs
+		*slot = compDone
 	}
-	return compDone[n]
+	return compDone
 }

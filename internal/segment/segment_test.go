@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -327,5 +328,87 @@ func TestPropertyChunkingMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pipelineRef is the two-stage in-order pipeline recurrence PipelineNsWith
+// implements, over full per-segment arrays.
+func pipelineRef(pl *Plan, depth int, extraLoadNs, extraCompNs, loadDen, loadNum, compDen, compNum int64) int64 {
+	n := len(pl.Segments)
+	loadDone := make([]int64, n+1)
+	compDone := make([]int64, n+1)
+	scale := func(v, den, num int64) int64 {
+		if den == num {
+			return v
+		}
+		return (v*den + num - 1) / num
+	}
+	for j := 1; j <= n; j++ {
+		s := pl.Segments[j-1]
+		load := scale(s.LoadNs, loadDen, loadNum)
+		if s.LoadNs > 0 {
+			load += extraLoadNs
+		}
+		ld := loadDone[j-1]
+		if j-depth >= 0 && compDone[j-depth] > ld {
+			ld = compDone[j-depth]
+		}
+		loadDone[j] = ld + load
+		compDone[j] = max(compDone[j-1], loadDone[j]) + scale(s.ComputeNs, compDen, compNum) + extraCompNs
+	}
+	return compDone[n]
+}
+
+// TestPipelineMatchesRecurrence checks the ring-buffered PipelineNsWith
+// against the array recurrence on random plans, at depths on both sides of
+// its stack-buffer size, with and without analysis hooks.
+func TestPipelineMatchesRecurrence(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		pl := &Plan{}
+		for i := rng.Intn(40); i >= 0; i-- {
+			s := Segment{ComputeNs: rng.Int63n(1000)}
+			if rng.Intn(4) != 0 {
+				s.LoadNs = rng.Int63n(1000)
+			}
+			pl.Segments = append(pl.Segments, s)
+		}
+		depth := 1 + rng.Intn(24)
+		xl, xc := rng.Int63n(50), rng.Int63n(50)
+		got := pl.PipelineNsWith(depth, xl, xc, 9, 10, 7, 8)
+		if want := pipelineRef(pl, depth, xl, xc, 9, 10, 7, 8); got != want {
+			t.Fatalf("trial %d depth %d: PipelineNsWith = %d, recurrence %d", trial, depth, got, want)
+		}
+		if got, want := pl.PipelineNs(depth), pipelineRef(pl, depth, 0, 0, 1, 1, 1, 1); got != want {
+			t.Fatalf("trial %d depth %d: PipelineNs = %d, recurrence %d", trial, depth, got, want)
+		}
+	}
+}
+
+// TestPlanPeakActivation pins the plan-carried activation peak: for every
+// catalog model on two platforms it equals the model's own
+// PeakActivationBytes, on the plan and on its chunked copy.
+func TestPlanPeakActivation(t *testing.T) {
+	for _, p := range []cost.Platform{cost.STM32H743, cost.STM32F746} {
+		for _, name := range models.Names() {
+			m, err := models.Reference(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := BuildLimits(m, p, Limits{Bytes: p.WeightBufBytes / 4, ComputeNs: 500_000}, Greedy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := m.PeakActivationBytes()
+			if got := pl.PeakActivationBytes(); got != want {
+				t.Fatalf("%s on %s: plan peak %d, model %d", name, p.Name, got, want)
+			}
+			if got := pl.Chunked(4 << 10).PeakActivationBytes(); got != want {
+				t.Fatalf("%s on %s: chunked plan peak %d, model %d", name, p.Name, got, want)
+			}
+		}
+	}
+	if got := (&Plan{}).PeakActivationBytes(); got != 0 {
+		t.Fatalf("plan without a model: peak %d, want 0", got)
 	}
 }

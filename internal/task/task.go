@@ -5,8 +5,10 @@
 package task
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"rtmdm/internal/segment"
 	"rtmdm/internal/sim"
@@ -123,7 +125,7 @@ func (s *Set) Validate() error {
 // Priority). The receiver is not modified.
 func (s *Set) ByPriority() []*Task {
 	out := append([]*Task(nil), s.Tasks...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority < out[j].Priority })
+	slices.SortStableFunc(out, func(a, b *Task) int { return cmp.Compare(a.Priority, b.Priority) })
 	return out
 }
 
@@ -197,11 +199,8 @@ func lcm(a, b int64) int64 {
 // Ties break by name for determinism. Priorities become 0..n-1.
 func (s *Set) AssignRM() {
 	order := append([]*Task(nil), s.Tasks...)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Period != order[j].Period {
-			return order[i].Period < order[j].Period
-		}
-		return order[i].Name < order[j].Name
+	slices.SortStableFunc(order, func(a, b *Task) int {
+		return cmp.Or(cmp.Compare(a.Period, b.Period), strings.Compare(a.Name, b.Name))
 	})
 	for i, t := range order {
 		t.Priority = i
@@ -212,11 +211,8 @@ func (s *Set) AssignRM() {
 // more urgent. Ties break by name. Priorities become 0..n-1.
 func (s *Set) AssignDM() {
 	order := append([]*Task(nil), s.Tasks...)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Deadline != order[j].Deadline {
-			return order[i].Deadline < order[j].Deadline
-		}
-		return order[i].Name < order[j].Name
+	slices.SortStableFunc(order, func(a, b *Task) int {
+		return cmp.Or(cmp.Compare(a.Deadline, b.Deadline), strings.Compare(a.Name, b.Name))
 	})
 	for i, t := range order {
 		t.Priority = i

@@ -5,9 +5,11 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -86,11 +88,35 @@ type SetSpec struct {
 	Util float64
 }
 
-// Fingerprint returns a deterministic string covering every field of the
-// spec, for use as a memoization key alongside platform and policy
-// fingerprints.
-func (sp SetSpec) Fingerprint() string {
-	return fmt.Sprintf("%+v", sp)
+// SpecKey is a comparable identity of a SetSpec, for memoization keys
+// alongside cost.PlatformKey and core.PolicyKey: two specs have equal keys
+// iff every field is equal, floats compared by their bits and a nil Tasks
+// slice told apart from an empty one.
+type SpecKey struct {
+	// tasks encodes every TaskSpec in order (length-prefixed model name,
+	// then Seed, Period, Deadline, Jitter) after a one-byte non-nil
+	// marker; "" when nil.
+	tasks string
+	util  uint64
+}
+
+// Key returns the spec's memoization key, without fmt or reflection.
+func (sp SetSpec) Key() SpecKey {
+	k := SpecKey{util: math.Float64bits(sp.Util)}
+	if sp.Tasks != nil {
+		b := make([]byte, 1, 1+len(sp.Tasks)*48)
+		b[0] = 1
+		for _, t := range sp.Tasks {
+			b = binary.AppendUvarint(b, uint64(len(t.Model)))
+			b = append(b, t.Model...)
+			b = binary.AppendVarint(b, t.Seed)
+			b = binary.AppendVarint(b, int64(t.Period))
+			b = binary.AppendVarint(b, int64(t.Deadline))
+			b = binary.AppendVarint(b, int64(t.Jitter))
+		}
+		k.tasks = string(b)
+	}
+	return k
 }
 
 // Params configures task-set generation.
@@ -113,6 +139,35 @@ type Params struct {
 	// JitterFrac sets each task's maximum release jitter as a fraction of
 	// its period (0 = strictly periodic).
 	JitterFrac float64
+}
+
+// paramsKey is the specCache key: equal iff every field of Params is equal
+// (floats by their bits, a nil Models slice told apart from an empty one).
+type paramsKey struct {
+	seed                   int64
+	n                      int
+	util                   uint64
+	plat                   cost.PlatformKey
+	models                 string // length-prefixed names after a non-nil marker; "" when nil
+	minPeriod, maxPeriod   sim.Duration
+	deadlineFrac, jitterFr uint64
+}
+
+func (p Params) key() paramsKey {
+	k := paramsKey{
+		seed: p.Seed, n: p.N, util: math.Float64bits(p.Util), plat: p.Platform.Key(),
+		minPeriod: p.MinPeriod, maxPeriod: p.MaxPeriod,
+		deadlineFrac: math.Float64bits(p.DeadlineFrac), jitterFr: math.Float64bits(p.JitterFrac),
+	}
+	if p.Models != nil {
+		b := []byte{1}
+		for _, name := range p.Models {
+			b = binary.AppendUvarint(b, uint64(len(name)))
+			b = append(b, name...)
+		}
+		k.models = string(b)
+	}
+	return k
 }
 
 // The generation pipeline is memoized at every level that repeats across
@@ -146,13 +201,21 @@ func refModel(name string) (*nn.Model, error) {
 // planCache memoizes segment.BuildLimits results. Plans are immutable after
 // Build and every consumer (Provision, the analyses, the executor) treats
 // them as read-only, so one plan is safely shared across task sets and
-// goroutines. The key includes the full platform fingerprint: WithWeightBuf/
+// goroutines. The key includes the full platform key: WithWeightBuf/
 // WithDCache/WithBandwidth variants keep the platform name but change
 // segmentation, and must not collide.
-var planCache sync.Map // model/limits/platform-fingerprint → *segment.Plan
+var planCache sync.Map // planKey → *segment.Plan
 
-func cachedPlan(name string, plat cost.Platform, lim segment.Limits) (*segment.Plan, error) {
-	key := fmt.Sprintf("%s/%d/%d|%s", name, lim.Bytes, lim.ComputeNs, plat.Fingerprint())
+type planKey struct {
+	model string
+	lim   segment.Limits
+	plat  cost.PlatformKey
+}
+
+// cachedPlan returns the plan of a zoo model; platKey is plat.Key(), which
+// callers compute once per set.
+func cachedPlan(name string, plat cost.Platform, platKey cost.PlatformKey, lim segment.Limits) (*segment.Plan, error) {
+	key := planKey{model: name, lim: lim, plat: platKey}
 	if pl, ok := planCache.Load(key); ok {
 		instr.Load().planHits.Add(1)
 		return pl.(*segment.Plan), nil
@@ -182,15 +245,21 @@ func refBudget(plat cost.Platform, n int) int64 {
 }
 
 // refDemandCache memoizes the reference serial demand per (model,
-// platform, n). Keyed on the full platform fingerprint so cost-model
+// platform, n). Keyed on the full platform key so cost-model
 // variants of a platform (different D-cache, bandwidth, buffer split) never
 // reuse each other's demands.
-var refDemandCache sync.Map
+var refDemandCache sync.Map // refDemandKey → int64
+
+type refDemandKey struct {
+	model string
+	n     int
+	plat  cost.PlatformKey
+}
 
 // refDemand returns the serial (load+compute) nanoseconds of one job of
-// the model at the reference segmentation.
-func refDemand(name string, plat cost.Platform, n int) (int64, error) {
-	key := fmt.Sprintf("%s/%d|%s", name, n, plat.Fingerprint())
+// the model at the reference segmentation; platKey is plat.Key().
+func refDemand(name string, plat cost.Platform, platKey cost.PlatformKey, n int) (int64, error) {
+	key := refDemandKey{model: name, n: n, plat: platKey}
 	if d, ok := refDemandCache.Load(key); ok {
 		return d.(int64), nil
 	}
@@ -210,12 +279,12 @@ func refDemand(name string, plat cost.Platform, n int) (int64, error) {
 // specCache memoizes Generate: the whole draw is a pure function of Params
 // (the rng is seeded from p.Seed and the catalog order is fixed), so one
 // generated spec serves every experiment that sweeps the same point.
-var specCache sync.Map // Params fingerprint → SetSpec
+var specCache sync.Map // paramsKey → SetSpec
 
 // Generate draws a SetSpec: models uniformly from the catalog subset,
 // utilization shares by UUniFast, periods = refDemand/share (clamped).
 func Generate(p Params) (SetSpec, error) {
-	key := fmt.Sprintf("%+v", p)
+	key := p.key()
 	if sp, ok := specCache.Load(key); ok {
 		instr.Load().specHits.Add(1)
 		return sp.(SetSpec), nil
@@ -286,10 +355,11 @@ func generate(p Params) (SetSpec, error) {
 		}
 	}
 	spec := SetSpec{Util: p.Util}
+	platKey := p.Platform.Key()
 	for i := 0; i < p.N; i++ {
 		name := picks[i]
 		seed := int64(rng.Intn(1 << 16))
-		demand, err := refDemand(name, p.Platform, p.N)
+		demand, err := refDemand(name, p.Platform, platKey, p.N)
 		if err != nil {
 			return SetSpec{}, err
 		}
@@ -318,7 +388,7 @@ func generate(p Params) (SetSpec, error) {
 // published result tables were generated with: cost-model variants of a
 // named platform share one footprint entry.
 func actFootprint(name string, plat cost.Platform, n int) (int64, int64, error) {
-	key := fmt.Sprintf("act/%s/%s/%d", name, plat.Name, n)
+	key := footprintKey{model: name, platName: plat.Name, n: n}
 	if v, ok := footprintCache.Load(key); ok {
 		f := v.([2]int64)
 		return f[0], f[1], nil
@@ -333,12 +403,18 @@ func actFootprint(name string, plat cost.Platform, n int) (int64, int64, error) 
 	if err != nil {
 		return 0, 0, err
 	}
-	r, pk := pl.MaxResidentBytes(), m.PeakActivationBytes()
+	r, pk := pl.MaxResidentBytes(), pl.PeakActivationBytes()
 	footprintCache.Store(key, [2]int64{r, pk})
 	return r, pk, nil
 }
 
-var footprintCache sync.Map // "act/name/platName/n" → [2]int64{resident, peak}
+var footprintCache sync.Map // footprintKey → [2]int64{resident, peak}
+
+// footprintKey names the platform by Name only: see actFootprint.
+type footprintKey struct {
+	model, platName string
+	n               int
+}
 
 // Instantiate builds the runnable task set for one policy: every model is
 // segmented with the policy's staging budget and preemption granularity,
@@ -353,14 +429,15 @@ func (sp SetSpec) InstantiateLimits(plat cost.Platform, lim segment.Limits) (*ta
 	if len(sp.Tasks) == 0 {
 		return nil, fmt.Errorf("workload: empty spec")
 	}
-	var ts []*task.Task
+	ts := make([]*task.Task, 0, len(sp.Tasks))
+	platKey := plat.Key()
 	for i, tsp := range sp.Tasks {
-		pl, err := cachedPlan(tsp.Model, plat, lim)
+		pl, err := cachedPlan(tsp.Model, plat, platKey, lim)
 		if err != nil {
 			return nil, err
 		}
 		ts = append(ts, &task.Task{
-			Name:     fmt.Sprintf("t%d-%s", i, tsp.Model),
+			Name:     "t" + strconv.Itoa(i) + "-" + tsp.Model,
 			Plan:     pl,
 			Period:   tsp.Period,
 			Deadline: tsp.Deadline,
