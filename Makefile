@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify vet lint race fuzz bench golden smoke cluster-smoke corpus-smoke
+.PHONY: verify vet lint race fuzz bench golden smoke cluster-smoke corpus-smoke loc
 
 # Tier-1: build + full test suite.
 verify:
@@ -42,6 +42,13 @@ fuzz:
 	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^FuzzCanonicalHash$$' -fuzz='^FuzzCanonicalHash$$' -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^FuzzIncrementalRTA$$' -fuzz='^FuzzIncrementalRTA$$' -fuzztime=10s ./internal/analysis
+
+# Non-test Go line count: every .go file except _test.go files, the
+# benchmark module under perfbench/ and its build cache under .bench_build/
+# (the number ROADMAP's "non-test line count should fall" refers to).
+loc:
+	@find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # The load-bearing benchmarks (compare with benchstat; -count=5 minimum).
 bench:

@@ -312,8 +312,9 @@ func TestInstantiateWarmAllocBudget(t *testing.T) {
 }
 
 // TestRTMDMRTAAllocBudget pins one cold RT-MDM response-time analysis of
-// the fixed 4-task set: terms share one segC backing array and the
-// pipeline recurrence allocates nothing. Budget ~20% over the measured
+// the fixed 4-task set, run through the test analysis.ForPolicy resolves
+// core.RTMDM() to: terms share one segC backing array and the pipeline
+// recurrence allocates nothing. Budget ~20% over the measured
 // steady state (10 allocs/op; 50 with per-task segC slices, a reflective
 // sort swapper and per-call pipeline arrays).
 func TestRTMDMRTAAllocBudget(t *testing.T) {
@@ -321,12 +322,16 @@ func TestRTMDMRTAAllocBudget(t *testing.T) {
 		t.Skip("alloc accounting is wall-time sensitive; skipped in -short")
 	}
 	_, s := layerSet(t)
+	test, err := analysis.ForPolicy(core.RTMDM())
+	if err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		analysis.RTMDMRTA(s, cost.STM32H743, 2)
+		test(s, cost.STM32H743)
 	})
 	const budget = 12
 	if allocs > budget {
-		t.Fatalf("RTMDMRTA on %d tasks: %.0f allocs/op, budget %d", len(s.Tasks), allocs, budget)
+		t.Fatalf("RT-MDM RTA on %d tasks: %.0f allocs/op, budget %d", len(s.Tasks), allocs, budget)
 	}
 }
 
@@ -349,7 +354,10 @@ func BenchmarkInstantiateWarm(b *testing.B) {
 // rebuilds terms and pipeline demands at every step.
 func BenchmarkBreakdownFactor(b *testing.B) {
 	_, s := layerSet(b)
-	test := func(s *task.Set, p cost.Platform) analysis.Verdict { return analysis.RTMDMRTA(s, p, 2) }
+	test, err := analysis.ForPolicy(core.RTMDM())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,8 +2,8 @@
 // framework: response-time analyses (RTA) for the fixed-priority policies
 // (RT-MDM pipelined, serial segment-preemptive, whole-job non-preemptive),
 // a processor-demand test for the EDF variants, utilization-based necessary
-// tests, and Audsley's optimal priority assignment on top of any of the
-// FP tests.
+// tests, and Audsley's optimal priority assignment on top of the
+// constant-jitter RT-MDM RTA.
 //
 // # Model and soundness
 //
@@ -116,7 +116,7 @@ func mkTerms(s *task.Set, plat cost.Platform, chunkBytes int64) []terms {
 	// Context switches are CPU work: charge one (derated) switch per
 	// segment everywhere — an upper bound on the executor, which pays
 	// only on actual job changes.
-	sw := derate(plat.CPU.SwitchNs, plat.Bus.CPUNum, plat.Bus.CPUDen)
+	sw := switchCost(plat)
 	out := make([]terms, len(s.Tasks))
 	var nseg int
 	for _, t := range s.Tasks {
@@ -185,9 +185,6 @@ func cpuBlocking(ts []terms, i int, depthAt func(int) int) int64 {
 	}
 	return perStall
 }
-
-// uniformDepth adapts a constant buffer depth to cpuBlocking's shape.
-func uniformDepth(d int) func(int) int { return func(int) int { return d } }
 
 // rtaIterate solves R = base + Σ_h ceil((R+J_h)/T_h)·I_h by fixpoint
 // iteration, returning (R, true) on convergence within the deadline and
@@ -348,63 +345,203 @@ func lowerMax(ts []terms, i int) (maxC, maxL int64) {
 	return maxC, maxL
 }
 
-// RTMDMRTA is the response-time analysis for the RT-MDM policy (segment
-// preemptive, prefetch depth ≥ 2, priority DMA arbitration).
-//
-// Per-job demand is position-dependent — the pipelined makespan for the
-// highest-priority task (the gate is always its whenever it has loads
-// remaining, so its overlap is never broken), the serial chain for every
-// other task (a more urgent job's remaining DMA demand freezes this
-// task's staging even while this task computes, so interference can
-// expose all of its hidden loads) — plus the lump-sum lower-priority CPU
-// blocking (inventory-bounded) plus one lower-priority in-flight DMA
-// region (the gated-DMA guarantee).
+// testKind names an analysis family: the blocking and own-demand terms a
+// fixed-priority test charges, or the EDF processor-demand test.
+type testKind int
+
+const (
+	kindRTMDM testKind = iota // gated-priority RT-MDM RTA
+	kindFIFO                  // RT-MDM under ungated FIFO DMA (ablation)
+	kindSegFP                 // serial segment-preemptive baseline (B2)
+	kindNPFP                  // whole-job non-preemptive baseline (B1)
+	kindEDF                   // RT-MDM EDF processor-demand test
+)
+
+// family is a policy's resolved schedulability test: which analysis runs,
+// under which Test name, with which DMA chunking and per-task prefetch
+// depths. resolve is the only place a policy's fields choose it.
+type family struct {
+	kind testKind
+	name string
+	// chunk > 0 analyzes limited-preemption (chunked) DMA: per-segment
+	// load times pay a setup per chunk, and the non-preemptive DMA region
+	// shrinks to one chunk.
+	chunk int64
+	// depthFor returns a task's prefetch window depth.
+	depthFor func(*task.Task) int
+	// constJitter gives every higher-priority task jitter D_h instead of
+	// its response-time jitter R_h: strictly more pessimistic, but
+	// independent of the relative order of higher-priority tasks — the
+	// property Audsley's algorithm requires — and the analysis of one task
+	// no longer depends on the others being schedulable. Only
+	// RTMDMRTAForOPA sets it.
+	constJitter bool
+}
+
+// resolve maps a runtime policy to its schedulability test, or to an
+// error for policies without a sound one (FIFO DMA arbitration is a runtime
+// ablation only outside its one FP analysis, and serial EDF has no test).
+func resolve(pol core.Policy) (family, error) {
+	depthFor := uniformDepthFor(pol.Depth)
+	if pol.TaskDepth != nil {
+		depthFor = func(t *task.Task) int { return pol.DepthFor(t.Name) }
+	}
+	switch {
+	case pol.DMA == core.DMAFIFO && pol.EDF:
+		return family{}, fmt.Errorf("analysis: no sound test for FIFO DMA under EDF (%s)", pol.Name)
+	case pol.DMA == core.DMAFIFO && pol.PrefetchAcrossJobs:
+		if pol.TaskDepth != nil {
+			return family{}, fmt.Errorf("analysis: no per-task-depth test under FIFO DMA (%s)", pol.Name)
+		}
+		return family{kind: kindFIFO, name: fmt.Sprintf("rta-rtmdm-fifo-d%d", pol.Depth),
+			chunk: pol.ChunkBytes, depthFor: depthFor}, nil
+	case pol.DMA == core.DMAFIFO:
+		return family{}, fmt.Errorf("analysis: no sound test for FIFO DMA on serial policies (%s)", pol.Name)
+	case pol.JobLevelNP:
+		return family{kind: kindNPFP, name: "rta-serial-npfp", depthFor: uniformDepthFor(1)}, nil
+	case pol.EDF && pol.PrefetchAcrossJobs:
+		// Heterogeneous per-task windows: each task's carried-in inventory
+		// is bounded by its own window depth.
+		name := fmt.Sprintf("edf-rtmdm-d%d", pol.Depth)
+		if pol.TaskDepth != nil {
+			name = "edf-rtmdm-het"
+		}
+		return family{kind: kindEDF, name: name, chunk: pol.ChunkBytes, depthFor: depthFor}, nil
+	case pol.EDF:
+		return family{}, fmt.Errorf("analysis: no test for serial EDF (%s)", pol.Name)
+	case pol.PrefetchAcrossJobs:
+		// Heterogeneous per-task windows: all blocking and demand terms use
+		// the owning task's own depth — a lower task's staged inventory is
+		// bounded by ITS window, and the top task's pipelined demand by its
+		// own look-ahead — so every soundness argument of the uniform
+		// analysis carries over verbatim.
+		name := fmt.Sprintf("rta-rtmdm-d%d", pol.Depth)
+		if pol.TaskDepth != nil {
+			name = "rta-rtmdm-het"
+		}
+		return family{kind: kindRTMDM, name: name, chunk: pol.ChunkBytes, depthFor: depthFor}, nil
+	default:
+		return family{kind: kindSegFP, name: "rta-serial-segfp", depthFor: uniformDepthFor(1)}, nil
+	}
+}
+
+// uniformDepthFor adapts a constant buffer depth to family.depthFor.
+func uniformDepthFor(d int) func(*task.Task) int { return func(*task.Task) int { return d } }
+
+// screened reports whether the admission paths put the necessary-condition
+// screens (utilization, then per-task demand) in front of this family's
+// test: the fixed-priority RTAs with a bounded blocking term. The FIFO
+// ablation and the EDF demand test run unscreened.
+func (f family) screened() bool {
+	return f.kind != kindFIFO && f.kind != kindEDF
+}
+
+// run validates the set, builds its terms and runs the family's test.
+func (f family) run(ctx context.Context, s *task.Set, plat cost.Platform, opt *admitOpts) Verdict {
+	if err := s.Validate(); err != nil {
+		return Verdict{Test: f.name, Reason: err.Error()}
+	}
+	if f.kind == kindEDF {
+		return f.edf(ctx, mkTerms(s, plat, f.chunk), plat)
+	}
+	return f.rta(ctx, mkTerms(task.NewSet(s.ByPriority()...), plat, f.chunk), plat, opt)
+}
+
+// ownDemand is task i's per-job demand at prefetch depth d — its
+// pipelined makespan, the serial chain at d = 1 — or the cached value of
+// the same expression when opt supplies one.
+func (f family) ownDemand(ts []terms, i, d int, plat cost.Platform, opt *admitOpts) int64 {
+	if opt != nil && opt.demandFor != nil {
+		return opt.demandFor(i, d)
+	}
+	return ts[i].t.Plan.Chunked(f.chunk).PipelineNsWith(d, 0, switchCost(plat),
+		plat.Bus.DMADen, plat.Bus.DMANum, plat.Bus.CPUDen, plat.Bus.CPUNum)
+}
+
+// base returns task i's fixpoint base in the priority-ordered terms: its
+// lower-priority blocking plus its own per-job demand. Every family charges
+// at most one lower-priority in-flight DMA region (blkL); they differ in
+// the CPU blocking and the own-demand term.
+func (f family) base(ts []terms, i int, plat cost.Platform, opt *admitOpts) int64 {
+	blkC, blkL := lowerMax(ts, i)
+	switch f.kind {
+	case kindFIFO:
+		// RT-MDM with *ungated FIFO* DMA arbitration (the memory-unaware
+		// ablation). Two things get strictly worse than under the gated
+		// design: (i) lower-priority tasks' transfers are served in release
+		// order, so they interfere like higher-priority demand (with
+		// deadline jitter) instead of blocking once; (ii) lower tasks can
+		// re-stage segments at any time, so the CPU-overhang blocking loses
+		// its inventory cap and is charged once per stall.
+		stalls := int64(max(ts[i].loads, 1))
+		base := stalls*blkC + blkL + f.ownDemand(ts, i, f.depthFor(ts[i].t), plat, opt)
+		// Lower-priority DMA demand behaves like interference under FIFO:
+		// fold each lower task's load demand into the base via its
+		// worst-case arrival count against the deadline horizon (deadline
+		// jitter); only the higher-priority terms are iterated.
+		for k := i + 1; k < len(ts); k++ {
+			horizon := int64(ts[i].t.Deadline) + int64(ts[k].t.Deadline)
+			n := (horizon + int64(ts[k].t.Period) - 1) / int64(ts[k].t.Period)
+			base += n * ts[k].sumL
+		}
+		return base
+	case kindNPFP:
+		// The whole-job non-preemptive baseline (B1): the blocking term is
+		// an entire lower-priority job (its serial demand) plus one
+		// in-flight transfer.
+		var blkJob int64
+		for k := i + 1; k < len(ts); k++ {
+			blkJob = max(blkJob, ts[k].sumC+ts[k].sumL)
+		}
+		return blkJob + blkL + ts[i].sumC + ts[i].sumL
+	default:
+		// kindSegFP is the serial segment-preemptive baseline (B2): per-job
+		// demand is the serial sum with one lower-priority CPU overhang per
+		// real load, plus initial blocking — exactly the RT-MDM terms at a
+		// uniform depth of 1.
+		//
+		// kindRTMDM is RT-MDM (segment preemptive, prefetch depth ≥ 2,
+		// priority DMA arbitration). Per-job demand is position-dependent:
+		//  - the HIGHEST-priority task uses its pipelined makespan: the gate
+		//    is always its whenever it has loads remaining, so its overlap
+		//    is never broken by anyone (only bounded lower-priority
+		//    blocking);
+		//  - every other task uses its SERIAL chain: while any more urgent
+		//    job has loads remaining, the gate freezes this task's staging,
+		//    so its own computes no longer hide its own loads —
+		//    interference can stretch its critical path up to the serial
+		//    length.
+		// Blocking is the lump-sum lower-priority CPU blocking (inventory
+		// bounded) plus one lower-priority in-flight DMA region (the
+		// gated-DMA guarantee). Two earlier bounds that credited pipelined
+		// overlap to non-top tasks were falsified by the multi-thousand-
+		// trial executor stress; see docs/ANALYSIS.md §4.
+		d := 1
+		if i == 0 {
+			d = f.depthFor(ts[0].t)
+		}
+		blk := cpuBlocking(ts, i, func(k int) int { return f.depthFor(ts[k].t) })
+		return blk + blkL + f.ownDemand(ts, i, d, plat, opt)
+	}
+}
+
+// rta is the priority-ordered fixed-priority RTA over precomputed terms,
+// the one fixpoint loop every FP family runs. The cold tests (run, fresh
+// terms) and the incremental admission path (cache-assembled terms,
+// admitOpts) share it, so the two can only differ through opt — and every
+// opt extension is bit-identity preserving (see admitOpts).
 //
 // Higher-priority interference charges ΣC + ΣL per job with release
-// jitter R_h; this is sound against single-path (serial or top-pipe)
-// demand because each no-progress wall-clock second is charged exactly
-// once. Two earlier bounds that credited pipelined overlap to non-top
-// tasks were falsified by the multi-thousand-trial executor stress; see
-// docs/ANALYSIS.md §4 for the full argument.
-func RTMDMRTA(s *task.Set, plat cost.Platform, depth int) Verdict {
-	return rtmdmRTA(s, plat, depth, 0, false)
-}
-
-// RTMDMRTAChunked analyzes RT-MDM with limited-preemption (chunked) DMA.
-func RTMDMRTAChunked(s *task.Set, plat cost.Platform, depth int, chunkBytes int64) Verdict {
-	return rtmdmRTA(s, plat, depth, chunkBytes, false)
-}
-
-func rtmdmRTA(s *task.Set, plat cost.Platform, depth int, chunkBytes int64, constJitter bool) Verdict {
-	return rtmdmRTADepths(context.Background(), s, plat, fmt.Sprintf("rta-rtmdm-d%d", depth),
-		func(*task.Task) int { return depth }, chunkBytes, constJitter)
-}
-
-// RTMDMRTADepths analyzes RT-MDM with heterogeneous per-task prefetch
-// windows: depthFor returns each task's buffer depth. All blocking and
-// demand terms use the owning task's own depth — a lower task's staged
-// inventory is bounded by ITS window, and the top task's pipelined demand
-// by its own look-ahead — so every soundness argument of the uniform
-// analysis carries over verbatim.
-func RTMDMRTADepths(s *task.Set, plat cost.Platform, depthFor func(*task.Task) int) Verdict {
-	return rtmdmRTADepths(context.Background(), s, plat, "rta-rtmdm-het", depthFor, 0, false)
-}
-
-func rtmdmRTADepths(ctx context.Context, s *task.Set, plat cost.Platform, name string, depthFor func(*task.Task) int, chunkBytes int64, constJitter bool) Verdict {
-	if err := s.Validate(); err != nil {
-		return Verdict{Test: name, Reason: err.Error()}
-	}
-	ts := mkTerms(task.NewSet(s.ByPriority()...), plat, chunkBytes)
-	return rtmdmRTATerms(ctx, ts, plat, name, depthFor, chunkBytes, constJitter, nil)
-}
-
-// rtmdmRTATerms is the RT-MDM RTA over precomputed priority-ordered
-// terms. Both the cold analysis (rtmdmRTADepths, fresh terms) and the
-// incremental admission path (cache-assembled terms, admitOpts) run this
-// same loop, so the two can only differ through opt — and every opt
-// extension is bit-identity preserving (see admitOpts).
-func rtmdmRTATerms(ctx context.Context, ts []terms, plat cost.Platform, name string, depthFor func(*task.Task) int, chunkBytes int64, constJitter bool, opt *admitOpts) Verdict {
-	v := Verdict{Test: name, Schedulable: true, WCRT: map[string]sim.Duration{}}
+// jitter R_h: sound against single-path (serial or top-pipe) demand
+// because each no-progress wall-clock second is charged exactly once — it
+// is higher-priority CPU time, higher-priority DMA time, gate-idle under a
+// higher-priority compute (also ΣC_h), or bounded lower-priority blocking.
+// An earlier version charged pipe + 2·ΣC_h everywhere; the 1000-trial
+// soundness stress falsified it (a full higher-priority window can freeze
+// this task's loads while this task itself computes, exposing its hidden
+// loads beyond any per-hp-job charge).
+func (f family) rta(ctx context.Context, ts []terms, plat cost.Platform, opt *admitOpts) Verdict {
+	v := Verdict{Test: f.name, Schedulable: true, WCRT: map[string]sim.Duration{}}
 
 	// Per-task bases are pure in the terms (no fixpoint feedback), so they
 	// are computed up front — which is what lets the admission screen
@@ -412,219 +549,9 @@ func rtmdmRTATerms(ctx context.Context, ts []terms, plat cost.Platform, name str
 	bases := make([]int64, len(ts))
 	for i := range ts {
 		if canceled(ctx) {
-			return canceledVerdict(name, ctx)
+			return canceledVerdict(f.name, ctx)
 		}
-		blk := cpuBlocking(ts, i, func(k int) int { return depthFor(ts[k].t) })
-		_, blkL := lowerMax(ts, i)
-		d := depthFor(ts[i].t)
-		if i > 0 {
-			d = 1 // serial chain for non-top tasks
-		}
-		var demand int64
-		if opt != nil && opt.demandFor != nil {
-			demand = opt.demandFor(i, d)
-		} else {
-			pl := ts[i].t.Plan.Chunked(chunkBytes)
-			demand = pl.PipelineNsWith(d, 0, switchCost(plat),
-				plat.Bus.DMADen, plat.Bus.DMANum, plat.Bus.CPUDen, plat.Bus.CPUNum)
-		}
-		bases[i] = blk + blkL + demand
-	}
-	if opt != nil && opt.screen {
-		for i := range ts {
-			if bases[i] > int64(ts[i].t.Deadline) {
-				return demandScreenVerdict(ts[i].t, bases[i])
-			}
-		}
-	}
-
-	// Per-job demand is position-dependent:
-	//  - the HIGHEST-priority task uses its pipelined makespan: the gate
-	//    is always its whenever it has loads remaining, so its overlap is
-	//    never broken by anyone (only bounded lower-priority blocking);
-	//  - every other task uses its SERIAL chain: while any more urgent
-	//    job has loads remaining, the gate freezes this task's staging,
-	//    so its own computes no longer hide its own loads — interference
-	//    can stretch its critical path up to the serial length. The
-	//    serial chain is single-path, so each wall-clock no-progress
-	//    second is charged once: it is higher-priority CPU time, higher-
-	//    priority DMA time, gate-idle under a higher-priority compute
-	//    (also ΣC_h), or bounded lower-priority blocking. Interference is
-	//    therefore ΣC_h + ΣL_h with release jitter R_h.
-	//
-	// An earlier version charged pipe + 2·ΣC_h everywhere; the 1000-trial
-	// soundness stress falsified it (a full higher-priority window can
-	// freeze this task's loads while this task itself computes, exposing
-	// its hidden loads beyond any per-hp-job charge).
-	var hps []hpTerm
-	for i := range ts {
-		if canceled(ctx) {
-			return canceledVerdict(name, ctx)
-		}
-		r, ok := warmIterate(bases[i], ts[i].t.Deadline, hps, ts[i].t.Name, opt)
-		v.WCRT[ts[i].t.Name] = r
-		jitter := int64(r) + int64(ts[i].t.Jitter)
-		if !ok {
-			if v.Schedulable {
-				v.Schedulable = false
-				v.Reason = fmt.Sprintf("task %s: R %v > D %v", ts[i].t.Name, r, ts[i].t.Deadline)
-			}
-			if !constJitter {
-				return v
-			}
-		}
-		if constJitter {
-			jitter = int64(ts[i].t.Deadline) + int64(ts[i].t.Jitter)
-		}
-		hps = append(hps, hpTerm{
-			period: ts[i].t.Period, jitter: jitter,
-			demand: ts[i].sumC + ts[i].sumL,
-		})
-	}
-	return v
-}
-
-// RTMDMFIFORTA analyzes RT-MDM with *ungated FIFO* DMA arbitration (the
-// memory-unaware ablation). Two things get strictly worse than under the
-// gated design: (i) lower-priority tasks' transfers are served in release
-// order, so they interfere like higher-priority demand (with deadline
-// jitter) instead of blocking once; (ii) lower tasks can re-stage segments
-// at any time, so the CPU-overhang blocking loses its inventory cap and is
-// charged once per stall.
-func RTMDMFIFORTA(s *task.Set, plat cost.Platform, depth int, chunkBytes int64) Verdict {
-	return rtmdmFIFORTA(context.Background(), s, plat, depth, chunkBytes)
-}
-
-func rtmdmFIFORTA(ctx context.Context, s *task.Set, plat cost.Platform, depth int, chunkBytes int64) Verdict {
-	v := fpRTA(ctx, s, plat, fmt.Sprintf("rta-rtmdm-fifo-d%d", depth), chunkBytes, false,
-		func(ts []terms, i int) (int64, int64) {
-			blkC, blkL := lowerMax(ts, i)
-			stalls := int64(ts[i].loads)
-			if stalls < 1 {
-				stalls = 1
-			}
-			pipe := ts[i].t.Plan.Chunked(chunkBytes).PipelineNsWith(depth, 0, switchCost(plat),
-				plat.Bus.DMADen, plat.Bus.DMANum, plat.Bus.CPUDen, plat.Bus.CPUNum)
-			base := stalls*blkC + blkL + pipe
-			// Lower-priority DMA demand behaves like interference under
-			// FIFO: fold each lower task's load demand into the base via
-			// its worst-case arrival count (deadline jitter, iterated by
-			// the caller through the higher-priority terms only — lower
-			// tasks are added here against the deadline horizon).
-			for k := i + 1; k < len(ts); k++ {
-				horizon := int64(ts[i].t.Deadline) + int64(ts[k].t.Deadline)
-				n := (horizon + int64(ts[k].t.Period) - 1) / int64(ts[k].t.Period)
-				base += n * ts[k].sumL
-			}
-			return base, pipe
-		},
-		func(ts []terms, h int) int64 { return ts[h].sumC + ts[h].sumL })
-	return v
-}
-
-// RTMDMRTAForOPA is the Audsley-compatible variant of RTMDMRTA: it uses
-// constant (deadline) jitter so a task's bound is independent of the
-// relative order of its higher-priority tasks, and it analyzes every task
-// even when one fails.
-func RTMDMRTAForOPA(s *task.Set, plat cost.Platform, depth int) Verdict {
-	return rtmdmRTA(s, plat, depth, 0, true)
-}
-
-// SerialSegFPRTA analyzes the serial segment-preemptive baseline (B2):
-// per-job demand is the serial sum with one lower-priority CPU overhang per
-// real load, plus initial blocking.
-func SerialSegFPRTA(s *task.Set, plat cost.Platform) Verdict {
-	return serialSegFPRTA(context.Background(), s, plat)
-}
-
-func serialSegFPRTA(ctx context.Context, s *task.Set, plat cost.Platform) Verdict {
-	return fpRTA(ctx, s, plat, "rta-serial-segfp", 0, false, segfpBaseFn(plat, nil), sumCL)
-}
-
-// sumCL is the per-job interference demand every FP analysis here
-// charges: the higher-priority task's full CPU plus DMA demand.
-func sumCL(ts []terms, h int) int64 { return ts[h].sumC + ts[h].sumL }
-
-// segfpBaseFn builds the serial-segfp base function. demandFor, when
-// non-nil, replaces the serial-demand computation with cached values of
-// the same pure expression (the incremental analyzer's term cache).
-func segfpBaseFn(plat cost.Platform, demandFor func(i int) int64) func(ts []terms, i int) (int64, int64) {
-	return func(ts []terms, i int) (int64, int64) {
-		_, blkL := lowerMax(ts, i)
-		var serial int64
-		if demandFor != nil {
-			serial = demandFor(i)
-		} else {
-			serial = ts[i].t.Plan.PipelineNsWith(1, 0, switchCost(plat),
-				plat.Bus.DMADen, plat.Bus.DMANum, plat.Bus.CPUDen, plat.Bus.CPUNum)
-		}
-		base := cpuBlocking(ts, i, uniformDepth(1)) + blkL + serial
-		return base, serial
-	}
-}
-
-// npfpBaseFn builds the serial-npfp base function; all of its inputs are
-// already in the terms, so it needs no demand override.
-func npfpBaseFn() func(ts []terms, i int) (int64, int64) {
-	return func(ts []terms, i int) (int64, int64) {
-		var blkJob int64
-		for k := i + 1; k < len(ts); k++ {
-			if v := ts[k].sumC + ts[k].sumL; v > blkJob {
-				blkJob = v
-			}
-		}
-		_, blkL := lowerMax(ts, i)
-		serial := ts[i].sumC + ts[i].sumL
-		base := blkJob + blkL + serial
-		return base, serial
-	}
-}
-
-// SerialNPFPRTA analyzes the whole-job non-preemptive baseline (B1): the
-// blocking term is an entire lower-priority job (its serial demand) plus
-// one in-flight transfer.
-func SerialNPFPRTA(s *task.Set, plat cost.Platform) Verdict {
-	return serialNPFPRTA(context.Background(), s, plat)
-}
-
-func serialNPFPRTA(ctx context.Context, s *task.Set, plat cost.Platform) Verdict {
-	return fpRTA(ctx, s, plat, "rta-serial-npfp", 0, false, npfpBaseFn(), sumCL)
-}
-
-// fpRTA runs a priority-ordered RTA. baseFn returns (base including
-// blocking and own demand, own demand alone); interfFn returns the per-job
-// interference demand a higher-priority task imposes.
-//
-// With constJitter, every higher-priority task carries jitter D_h instead
-// of its response-time jitter: strictly more pessimistic, but independent
-// of the relative order of higher-priority tasks — the property Audsley's
-// algorithm requires — and the analysis of one task no longer depends on
-// the others being schedulable.
-func fpRTA(ctx context.Context, s *task.Set, plat cost.Platform, name string, chunkBytes int64, constJitter bool,
-	baseFn func(ts []terms, i int) (base, self int64),
-	interfFn func(ts []terms, h int) int64) Verdict {
-
-	if err := s.Validate(); err != nil {
-		return Verdict{Test: name, Reason: err.Error()}
-	}
-	ts := mkTerms(task.NewSet(s.ByPriority()...), plat, chunkBytes)
-	return fpRTATerms(ctx, ts, name, constJitter, baseFn, interfFn, nil)
-}
-
-// fpRTATerms is the generic priority-ordered RTA over precomputed terms,
-// shared — like rtmdmRTATerms — between the cold analyses and the
-// incremental admission path (which differs only through opt).
-func fpRTATerms(ctx context.Context, ts []terms, name string, constJitter bool,
-	baseFn func(ts []terms, i int) (base, self int64),
-	interfFn func(ts []terms, h int) int64, opt *admitOpts) Verdict {
-
-	v := Verdict{Test: name, Schedulable: true, WCRT: map[string]sim.Duration{}}
-	bases := make([]int64, len(ts))
-	for i := range ts {
-		if canceled(ctx) {
-			return canceledVerdict(name, ctx)
-		}
-		bases[i], _ = baseFn(ts, i)
+		bases[i] = f.base(ts, i, plat, opt)
 	}
 	if opt != nil && opt.screen {
 		for i := range ts {
@@ -637,7 +564,7 @@ func fpRTATerms(ctx context.Context, ts []terms, name string, constJitter bool,
 	var hps []hpTerm
 	for i := range ts {
 		if canceled(ctx) {
-			return canceledVerdict(name, ctx)
+			return canceledVerdict(f.name, ctx)
 		}
 		r, ok := warmIterate(bases[i], ts[i].t.Deadline, hps, ts[i].t.Name, opt)
 		v.WCRT[ts[i].t.Name] = r
@@ -649,43 +576,24 @@ func fpRTATerms(ctx context.Context, ts []terms, name string, constJitter bool,
 				v.Schedulable = false
 				v.Reason = fmt.Sprintf("task %s: R %v > D %v", ts[i].t.Name, r, ts[i].t.Deadline)
 			}
-			if !constJitter {
+			if !f.constJitter {
 				// Lower-priority tasks cannot be analyzed soundly once a
 				// higher one fails (its jitter is unbounded); stop here.
 				return v
 			}
 		}
-		if constJitter {
+		if f.constJitter {
 			jitter = int64(ts[i].t.Deadline) + int64(ts[i].t.Jitter)
 		}
-		if jitter < 0 {
-			jitter = 0
-		}
-		hps = append(hps, hpTerm{period: ts[i].t.Period, demand: interfFn(ts, i), jitter: jitter})
+		hps = append(hps, hpTerm{period: ts[i].t.Period, jitter: jitter,
+			demand: ts[i].sumC + ts[i].sumL})
 	}
 	return v
 }
 
-// NecessaryUtilization is the per-resource necessary condition: a task set
-// whose derated CPU or DMA utilization exceeds 1 is infeasible on this
-// platform under any policy that serializes each resource.
-func NecessaryUtilization(s *task.Set, plat cost.Platform) Verdict {
-	ts := mkTerms(s, plat, 0)
-	var uc, ul float64
-	for _, t := range ts {
-		uc += float64(t.sumC) / float64(t.t.Period) //lint:allow millitime -- utilization ratio; dimensionless by construction
-		ul += float64(t.sumL) / float64(t.t.Period) //lint:allow millitime -- utilization ratio; dimensionless by construction
-	}
-	v := Verdict{Test: "necessary-utilization", Schedulable: uc <= 1.0 && ul <= 1.0}
-	if !v.Schedulable {
-		v.Reason = fmt.Sprintf("U_cpu=%.3f U_dma=%.3f", uc, ul)
-	}
-	return v
-}
-
-// RTMDMEDF is the processor-demand schedulability test for the EDF variant
-// of RT-MDM: dbf(t) + B(t) ≤ t at every absolute deadline t in the level
-// busy period.
+// edf is the processor-demand schedulability test for the EDF variant of
+// RT-MDM: dbf(t) + B(t) ≤ t at every absolute deadline t in the level
+// busy period. ts are the set's terms in set order.
 //
 // Per-job demand is the *serial* chain length ΣL+ΣC (suspension-oblivious,
 // both resources serialized): at every busy-window instant some incomplete
@@ -703,28 +611,9 @@ func NecessaryUtilization(s *task.Set, plat cost.Platform) Verdict {
 // against the busy period ending at t — a job released earlier with
 // D_k ≤ t ≤ d would itself have the earlier absolute deadline. B(t) sums
 // those tasks' staged inventories (which existed before the busy period
-// and cannot be replenished while gated) plus one in-flight transfer.
-func RTMDMEDF(s *task.Set, plat cost.Platform, depth int) Verdict {
-	return rtmdmEDF(s, plat, depth, 0)
-}
-
-func rtmdmEDF(s *task.Set, plat cost.Platform, depth int, chunkBytes int64) Verdict {
-	return rtmdmEDFDepths(context.Background(), s, plat, fmt.Sprintf("edf-rtmdm-d%d", depth),
-		func(*task.Task) int { return depth }, chunkBytes)
-}
-
-// RTMDMEDFDepths is the EDF demand test with heterogeneous per-task
-// prefetch windows; each task's carried-in inventory is bounded by its own
-// window depth.
-func RTMDMEDFDepths(s *task.Set, plat cost.Platform, depthFor func(*task.Task) int) Verdict {
-	return rtmdmEDFDepths(context.Background(), s, plat, "edf-rtmdm-het", depthFor, 0)
-}
-
-func rtmdmEDFDepths(ctx context.Context, s *task.Set, plat cost.Platform, name string, depthFor func(*task.Task) int, chunkBytes int64) Verdict {
-	if err := s.Validate(); err != nil {
-		return Verdict{Test: name, Reason: err.Error()}
-	}
-	ts := mkTerms(s, plat, chunkBytes)
+// and cannot be replenished while gated; each bounded by the task's own
+// window depth) plus one in-flight transfer.
+func (f family) edf(ctx context.Context, ts []terms, plat cost.Platform) Verdict {
 	type dtask struct {
 		c    int64
 		d    sim.Duration
@@ -737,10 +626,9 @@ func rtmdmEDFDepths(ctx context.Context, s *task.Set, plat cost.Platform, name s
 	var util float64
 	var sumC, maxBlk int64
 	for i := range ts {
-		serial := ts[i].t.Plan.Chunked(chunkBytes).PipelineNsWith(1, 0, switchCost(plat),
-			plat.Bus.DMADen, plat.Bus.DMANum, plat.Bus.CPUDen, plat.Bus.CPUNum)
+		serial := f.ownDemand(ts, i, 1, plat, nil)
 		dts[i] = dtask{c: serial, d: ts[i].t.Deadline, p: ts[i].t.Period,
-			jit: ts[i].t.Jitter, inv: ts[i].inventoryC(depthFor(ts[i].t)), segL: ts[i].maxSegL}
+			jit: ts[i].t.Jitter, inv: ts[i].inventoryC(f.depthFor(ts[i].t)), segL: ts[i].maxSegL}
 		util += float64(serial) / float64(ts[i].t.Period) //lint:allow millitime -- utilization ratio; dimensionless by construction
 		sumC += serial
 		if b := dts[i].inv + dts[i].segL; b > maxBlk {
@@ -748,7 +636,7 @@ func rtmdmEDFDepths(ctx context.Context, s *task.Set, plat cost.Platform, name s
 		}
 	}
 	if util > 1.0 {
-		return Verdict{Test: name, Reason: fmt.Sprintf("utilization %.3f > 1", util)}
+		return Verdict{Test: f.name, Reason: fmt.Sprintf("utilization %.3f > 1", util)}
 	}
 	// blocking bounds the carried-in work of longer-deadline tasks.
 	blocking := func(t int64) int64 {
@@ -767,7 +655,7 @@ func rtmdmEDFDepths(ctx context.Context, s *task.Set, plat cost.Platform, name s
 	w := sumC + maxBlk
 	for iter := 0; iter < maxIterations; iter++ {
 		if iter%cancelPollInterval == 0 && canceled(ctx) {
-			return canceledVerdict(name, ctx)
+			return canceledVerdict(f.name, ctx)
 		}
 		next := maxBlk
 		for _, dt := range dts {
@@ -778,7 +666,7 @@ func rtmdmEDFDepths(ctx context.Context, s *task.Set, plat cost.Platform, name s
 		}
 		w = next
 		if w > int64(100*sim.Second) {
-			return Verdict{Test: name, Reason: "busy period did not converge"}
+			return Verdict{Test: f.name, Reason: "busy period did not converge"}
 		}
 	}
 	// Collect deadline checkpoints ≤ w.
@@ -786,7 +674,7 @@ func rtmdmEDFDepths(ctx context.Context, s *task.Set, plat cost.Platform, name s
 	for _, dt := range dts {
 		for t := int64(dt.d); t <= w; t += int64(dt.p) {
 			if len(points)%cancelPollInterval == 0 && canceled(ctx) {
-				return canceledVerdict(name, ctx)
+				return canceledVerdict(f.name, ctx)
 			}
 			points = append(points, t)
 		}
@@ -809,19 +697,46 @@ func rtmdmEDFDepths(ctx context.Context, s *task.Set, plat cost.Platform, name s
 		// to millions of points on dense sets; this is the loop a server
 		// deadline most needs to be able to cut short.
 		if i%cancelPollInterval == 0 && canceled(ctx) {
-			return canceledVerdict(name, ctx)
+			return canceledVerdict(f.name, ctx)
 		}
 		if d := dbf(t) + blocking(t); d > t {
-			return Verdict{Test: name,
+			return Verdict{Test: f.name,
 				Reason: fmt.Sprintf("demand %v exceeds supply at t=%v", d, sim.Time(t))}
 		}
 	}
-	return Verdict{Test: name, Schedulable: true}
+	return Verdict{Test: f.name, Schedulable: true}
 }
 
-// ForPolicy returns the analysis matching a runtime policy, or an
-// unsupported verdict constructor for policies without a sound test (FIFO
-// DMA arbitration is a runtime ablation only).
+// RTMDMRTAForOPA is the Audsley-compatible variant of the RT-MDM RTA at a
+// uniform prefetch depth: it uses constant (deadline) jitter so a task's
+// bound is independent of the relative order of its higher-priority tasks,
+// and it analyzes every task even when one fails.
+func RTMDMRTAForOPA(s *task.Set, plat cost.Platform, depth int) Verdict {
+	f, _ := resolve(core.RTMDMDepth(depth)) // a gated RT-MDM policy always resolves
+	f.constJitter = true
+	return f.run(context.Background(), s, plat, nil)
+}
+
+// NecessaryUtilization is the per-resource necessary condition: a task set
+// whose derated CPU or DMA utilization exceeds 1 is infeasible on this
+// platform under any policy that serializes each resource.
+func NecessaryUtilization(s *task.Set, plat cost.Platform) Verdict {
+	ts := mkTerms(s, plat, 0)
+	var uc, ul float64
+	for _, t := range ts {
+		uc += float64(t.sumC) / float64(t.t.Period) //lint:allow millitime -- utilization ratio; dimensionless by construction
+		ul += float64(t.sumL) / float64(t.t.Period) //lint:allow millitime -- utilization ratio; dimensionless by construction
+	}
+	v := Verdict{Test: "necessary-utilization", Schedulable: uc <= 1.0 && ul <= 1.0}
+	if !v.Schedulable {
+		v.Reason = fmt.Sprintf("U_cpu=%.3f U_dma=%.3f", uc, ul)
+	}
+	return v
+}
+
+// ForPolicy returns the schedulability test matching a runtime policy, or
+// an error for policies without a sound test. It is the only route from a
+// policy to its analysis (docs/ANALYSIS.md, "Entry points").
 func ForPolicy(pol core.Policy) (func(*task.Set, cost.Platform) Verdict, error) {
 	return ForPolicyContext(context.Background(), pol)
 }
@@ -833,57 +748,20 @@ func ForPolicy(pol core.Policy) (func(*task.Set, cost.Platform) Verdict, error) 
 // ctx.Err(). The admission server uses this so a request deadline bounds
 // analysis work instead of leaking it.
 func ForPolicyContext(ctx context.Context, pol core.Policy) (func(*task.Set, cost.Platform) Verdict, error) {
-	switch {
-	case pol.DMA == core.DMAFIFO && pol.EDF:
-		return nil, fmt.Errorf("analysis: no sound test for FIFO DMA under EDF (%s)", pol.Name)
-	case pol.DMA == core.DMAFIFO && pol.PrefetchAcrossJobs:
-		if pol.TaskDepth != nil {
-			return nil, fmt.Errorf("analysis: no per-task-depth test under FIFO DMA (%s)", pol.Name)
-		}
-		d, c := pol.Depth, pol.ChunkBytes
-		return func(s *task.Set, p cost.Platform) Verdict { return rtmdmFIFORTA(ctx, s, p, d, c) }, nil
-	case pol.DMA == core.DMAFIFO:
-		return nil, fmt.Errorf("analysis: no sound test for FIFO DMA on serial policies (%s)", pol.Name)
-	case pol.JobLevelNP:
-		return func(s *task.Set, p cost.Platform) Verdict { return serialNPFPRTA(ctx, s, p) }, nil
-	case pol.EDF && pol.PrefetchAcrossJobs:
-		if pol.TaskDepth != nil {
-			depthFor := func(t *task.Task) int { return pol.DepthFor(t.Name) }
-			c := pol.ChunkBytes
-			return func(s *task.Set, p cost.Platform) Verdict {
-				return rtmdmEDFDepths(ctx, s, p, "edf-rtmdm-het", depthFor, c)
-			}, nil
-		}
-		d, c := pol.Depth, pol.ChunkBytes
-		return func(s *task.Set, p cost.Platform) Verdict {
-			return rtmdmEDFDepths(ctx, s, p, fmt.Sprintf("edf-rtmdm-d%d", d),
-				func(*task.Task) int { return d }, c)
-		}, nil
-	case pol.EDF:
-		return nil, fmt.Errorf("analysis: no test for serial EDF (%s)", pol.Name)
-	case pol.PrefetchAcrossJobs:
-		if pol.TaskDepth != nil {
-			depthFor := func(t *task.Task) int { return pol.DepthFor(t.Name) }
-			c := pol.ChunkBytes
-			return func(s *task.Set, p cost.Platform) Verdict {
-				return rtmdmRTADepths(ctx, s, p, "rta-rtmdm-het", depthFor, c, false)
-			}, nil
-		}
-		d, c := pol.Depth, pol.ChunkBytes
-		return func(s *task.Set, p cost.Platform) Verdict {
-			return rtmdmRTADepths(ctx, s, p, fmt.Sprintf("rta-rtmdm-d%d", d),
-				func(*task.Task) int { return d }, c, false)
-		}, nil
-	default:
-		return func(s *task.Set, p cost.Platform) Verdict { return serialSegFPRTA(ctx, s, p) }, nil
+	f, err := resolve(pol)
+	if err != nil {
+		return nil, err
 	}
+	return func(s *task.Set, p cost.Platform) Verdict { return f.run(ctx, s, p, nil) }, nil
 }
 
 // Audsley performs optimal priority assignment for an OPA-compatible FP
 // test: it mutates the set's priorities; on success the final assignment is
 // schedulable under the test. The supplied test must judge a task's
-// schedulability using only the partition into higher/lower tasks (all
-// three RTAs here qualify).
+// schedulability using only the partition into higher/lower tasks. Of the
+// tests here only RTMDMRTAForOPA qualifies: the others charge each
+// higher-priority task jitter R_h, which depends on the order among the
+// higher-priority tasks.
 //
 // On failure the set's original priorities are restored.
 func Audsley(s *task.Set, plat cost.Platform, test func(*task.Set, cost.Platform) Verdict) bool {

@@ -67,36 +67,27 @@ func withJitter(s *task.Set, frac float64) *task.Set {
 // under synchronous release and under random offsets, with and without bus
 // contention.
 func TestPropertyAnalysisSoundAgainstExecutor(t *testing.T) {
-	type pair struct {
-		pol  core.Policy
-		test func(*task.Set, cost.Platform) Verdict
-	}
-	pairs := []pair{
-		{core.RTMDM(), func(s *task.Set, p cost.Platform) Verdict { return RTMDMRTA(s, p, 2) }},
-		{core.RTMDMDepth(3), func(s *task.Set, p cost.Platform) Verdict { return RTMDMRTA(s, p, 3) }},
-		{core.RTMDMDepth(4), func(s *task.Set, p cost.Platform) Verdict { return RTMDMRTA(s, p, 4) }},
-		{core.RTMDMChunked(700), func(s *task.Set, p cost.Platform) Verdict { return RTMDMRTAChunked(s, p, 2, 700) }},
-		{core.RTMDMFIFODMA(), func(s *task.Set, p cost.Platform) Verdict { return RTMDMFIFORTA(s, p, 2, 0) }},
-		{core.SerialSegFP(), SerialSegFPRTA},
-		{core.SerialNPFP(), SerialNPFPRTA},
-		{core.RTMDMEDF(), func(s *task.Set, p cost.Platform) Verdict { return RTMDMEDF(s, p, 2) }},
-	}
+	// Every policy is checked against the test ForPolicy resolves it to,
+	// which is the test production runs for it.
+	//
 	// Heterogeneous per-task prefetch windows (extension T24): the same
 	// soundness obligation with every task on its own depth — randomSet
 	// names tasks t0..t4, so the map covers any generated size.
 	hetPol := core.RTMDMPerTaskDepth(map[string]int{"t0": 3, "t1": 1, "t2": 4, "t3": 2, "t4": 3})
-	hetTest, err := ForPolicy(hetPol)
-	if err != nil {
-		t.Fatal(err)
+	hetEDF := hetPol
+	hetEDF.EDF = true
+	type pair struct {
+		pol  core.Policy
+		test func(*task.Set, cost.Platform) Verdict
 	}
-	pairs = append(pairs, pair{hetPol, hetTest},
-		pair{func() core.Policy {
-			p := hetPol
-			p.EDF = true
-			return p
-		}(), func(s *task.Set, p cost.Platform) Verdict {
-			return RTMDMEDFDepths(s, p, func(tk *task.Task) int { return hetPol.DepthFor(tk.Name) })
-		}})
+	var pairs []pair
+	for _, pol := range []core.Policy{
+		core.RTMDM(), core.RTMDMDepth(3), core.RTMDMDepth(4), core.RTMDMChunked(700),
+		core.RTMDMFIFODMA(), core.SerialSegFP(), core.SerialNPFP(), core.RTMDMEDF(),
+		hetPol, hetEDF,
+	} {
+		pairs = append(pairs, pair{pol, policyTest(t, pol)})
+	}
 	plats := []cost.Platform{testPlat()}
 	con := testPlat()
 	con.Bus = cost.Contention{CPUNum: 4, CPUDen: 5, DMANum: 4, DMADen: 5}
@@ -170,10 +161,10 @@ func TestPropertyAnalysisSoundAgainstExecutor(t *testing.T) {
 func TestAnalysesAreNotVacuous(t *testing.T) {
 	p := testPlat()
 	tests := map[string]func(*task.Set, cost.Platform) Verdict{
-		"rtmdm": func(s *task.Set, pl cost.Platform) Verdict { return RTMDMRTA(s, pl, 2) },
-		"segfp": SerialSegFPRTA,
-		"npfp":  SerialNPFPRTA,
-		"edf":   func(s *task.Set, pl cost.Platform) Verdict { return RTMDMEDF(s, pl, 2) },
+		"rtmdm": policyTest(t, core.RTMDM()),
+		"segfp": policyTest(t, core.SerialSegFP()),
+		"npfp":  policyTest(t, core.SerialNPFP()),
+		"edf":   policyTest(t, core.RTMDMEDF()),
 	}
 	acc := map[string]int{}
 	rej := map[string]int{}
@@ -216,7 +207,7 @@ func TestOverlapDegradationRegression(t *testing.T) {
 		Period: 50_000, Deadline: 50_000, Offset: 500, Priority: 0}
 	s := task.NewSet(lo, hi)
 
-	v := RTMDMRTA(s, p, 2)
+	v := policyTest(t, core.RTMDM())(s, p)
 	if !v.Schedulable {
 		t.Fatalf("verdict negative: %s", v.Reason)
 	}
@@ -258,12 +249,12 @@ func TestPropertyAnalysisMonotone(t *testing.T) {
 		name string
 		run  func(*task.Set, cost.Platform) Verdict
 	}{
-		{"rtmdm", func(s *task.Set, p cost.Platform) Verdict { return RTMDMRTA(s, p, 2) }},
-		{"rtmdm-d3", func(s *task.Set, p cost.Platform) Verdict { return RTMDMRTA(s, p, 3) }},
-		{"chunked", func(s *task.Set, p cost.Platform) Verdict { return RTMDMRTAChunked(s, p, 2, 500) }},
-		{"segfp", SerialSegFPRTA},
-		{"npfp", SerialNPFPRTA},
-		{"fifo", func(s *task.Set, p cost.Platform) Verdict { return RTMDMFIFORTA(s, p, 2, 0) }},
+		{"rtmdm", policyTest(t, core.RTMDM())},
+		{"rtmdm-d3", policyTest(t, core.RTMDMDepth(3))},
+		{"chunked", policyTest(t, core.RTMDMChunked(500))},
+		{"segfp", policyTest(t, core.SerialSegFP())},
+		{"npfp", policyTest(t, core.SerialNPFP())},
+		{"fifo", policyTest(t, core.RTMDMFIFODMA())},
 	}
 	plat := testPlat()
 	harsh := testPlat()
@@ -320,31 +311,27 @@ func TestHeterogeneousDepthAnalysisRelations(t *testing.T) {
 		segSpec{1500, 1200}, segSpec{1500, 1200}, segSpec{1500, 1200}, segSpec{1500, 1200})
 	s := task.NewSet(hi, lo)
 
-	depths := func(h, l int) func(*task.Task) int {
-		return func(tk *task.Task) int {
-			if tk.Name == "hi" {
-				return h
-			}
-			return l
-		}
+	depths := func(h, l int) core.Policy {
+		return core.RTMDMPerTaskDepth(map[string]int{"hi": h, "lo": l})
 	}
-	uniform := RTMDMRTA(s, plat, 2)
+	het := func(h, l int) Verdict { return policyTest(t, depths(h, l))(s, plat) }
+	uniform := policyTest(t, core.RTMDM())(s, plat)
 	if !uniform.Schedulable {
 		t.Fatalf("baseline unschedulable: %s", uniform.Reason)
 	}
-	deepLo := RTMDMRTADepths(s, plat, depths(2, 4))
+	deepLo := het(2, 4)
 	if deepLo.WCRT["hi"] < uniform.WCRT["hi"] {
 		t.Fatalf("deeper lower window lowered hi bound: %v < %v",
 			deepLo.WCRT["hi"], uniform.WCRT["hi"])
 	}
-	deepHi := RTMDMRTADepths(s, plat, depths(4, 2))
+	deepHi := het(4, 2)
 	if deepHi.WCRT["hi"] > uniform.WCRT["hi"] {
 		t.Fatalf("deeper own window raised hi bound: %v > %v",
 			deepHi.WCRT["hi"], uniform.WCRT["hi"])
 	}
 	// The het analysis at uniform depths must agree exactly with the
 	// uniform analysis.
-	same := RTMDMRTADepths(s, plat, depths(2, 2))
+	same := het(2, 2)
 	for name, want := range uniform.WCRT {
 		if same.WCRT[name] != want {
 			t.Fatalf("uniform-depth het analysis diverged on %s: %v != %v",
@@ -352,8 +339,10 @@ func TestHeterogeneousDepthAnalysisRelations(t *testing.T) {
 		}
 	}
 	// EDF counterpart: uniform-depth agreement.
-	eu := RTMDMEDF(s, plat, 2)
-	eh := RTMDMEDFDepths(s, plat, depths(2, 2))
+	hetEDF := depths(2, 2)
+	hetEDF.EDF = true
+	eu := policyTest(t, core.RTMDMEDF())(s, plat)
+	eh := policyTest(t, hetEDF)(s, plat)
 	if eu.Schedulable != eh.Schedulable {
 		t.Fatalf("EDF het/uniform verdicts diverge: %v vs %v", eu.Schedulable, eh.Schedulable)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"strings"
 	"testing"
 
 	"rtmdm/internal/core"
@@ -43,12 +44,23 @@ func mkTask(p cost.Platform, name string, period sim.Duration, prio int, specs .
 		Period: period, Deadline: period, Priority: prio}
 }
 
+// policyTest returns the schedulability test ForPolicy resolves pol to —
+// the test production runs for that policy.
+func policyTest(tb testing.TB, pol core.Policy) func(*task.Set, cost.Platform) Verdict {
+	tb.Helper()
+	test, err := ForPolicy(pol)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return test
+}
+
 func TestSingleTaskWCRTEqualsOwnDemand(t *testing.T) {
 	p := testPlat()
 	tk := mkTask(p, "a", 10_000, 0, segSpec{1000, 1000}, segSpec{1000, 1000})
 	s := task.NewSet(tk)
 
-	v := RTMDMRTA(s, p, 2)
+	v := policyTest(t, core.RTMDM())(s, p)
 	if !v.Schedulable {
 		t.Fatalf("not schedulable: %s", v.Reason)
 	}
@@ -57,12 +69,12 @@ func TestSingleTaskWCRTEqualsOwnDemand(t *testing.T) {
 		t.Fatalf("RTMDM WCRT = %v, want 3000", v.WCRT["a"])
 	}
 
-	v = SerialSegFPRTA(s, p)
+	v = policyTest(t, core.SerialSegFP())(s, p)
 	if v.WCRT["a"] != 4000 {
 		t.Fatalf("serial WCRT = %v, want 4000", v.WCRT["a"])
 	}
 
-	v = SerialNPFPRTA(s, p)
+	v = policyTest(t, core.SerialNPFP())(s, p)
 	if v.WCRT["a"] != 4000 {
 		t.Fatalf("NP WCRT = %v, want 4000", v.WCRT["a"])
 	}
@@ -72,7 +84,7 @@ func TestSingleTaskUnschedulableWhenDemandExceedsDeadline(t *testing.T) {
 	p := testPlat()
 	tk := mkTask(p, "a", 2500, 0, segSpec{1000, 1000}, segSpec{1000, 1000})
 	s := task.NewSet(tk)
-	if v := RTMDMRTA(s, p, 2); v.Schedulable {
+	if v := policyTest(t, core.RTMDM())(s, p); v.Schedulable {
 		t.Fatal("pipe WCET 3000 > D 2500 deemed schedulable")
 	}
 }
@@ -87,9 +99,9 @@ func TestRTMDMBeatsSerialOnLoadHeavySet(t *testing.T) {
 	b := mkTask(p, "b", 30_000, 1, segSpec{800, 700}, segSpec{800, 700})
 	s := task.NewSet(a, b)
 
-	rtmdm := RTMDMRTA(s, p, 2)
-	np := SerialNPFPRTA(s, p)
-	seg := SerialSegFPRTA(s, p)
+	rtmdm := policyTest(t, core.RTMDM())(s, p)
+	np := policyTest(t, core.SerialNPFP())(s, p)
+	seg := policyTest(t, core.SerialSegFP())(s, p)
 	if !rtmdm.Schedulable {
 		t.Fatalf("RTMDM should accept this set: %s (WCRT %v)", rtmdm.Reason, rtmdm.WCRT)
 	}
@@ -114,7 +126,7 @@ func TestBlockingTermsOrderDependence(t *testing.T) {
 	hi := mkTask(p, "hi", 50_000, 0, segSpec{500, 500})
 	lo := mkTask(p, "lo", 200_000, 1, segSpec{4000, 4000})
 	s := task.NewSet(hi, lo)
-	v := RTMDMRTA(s, p, 2)
+	v := policyTest(t, core.RTMDM())(s, p)
 	if !v.Schedulable {
 		t.Fatal(v.Reason)
 	}
@@ -151,8 +163,9 @@ func TestContentionDeratesAnalysis(t *testing.T) {
 	pCon.Bus = cost.Contention{CPUNum: 1, CPUDen: 2, DMANum: 1, DMADen: 2}
 	tk := mkTask(pNo, "a", 10_000, 0, segSpec{1000, 1000})
 	s := task.NewSet(tk)
-	rNo := RTMDMRTA(s, pNo, 2).WCRT["a"]
-	rCon := RTMDMRTA(s, pCon, 2).WCRT["a"]
+	rtmdm := policyTest(t, core.RTMDM())
+	rNo := rtmdm(s, pNo).WCRT["a"]
+	rCon := rtmdm(s, pCon).WCRT["a"]
 	if rCon <= rNo {
 		t.Fatalf("contention did not inflate WCRT: %v vs %v", rCon, rNo)
 	}
@@ -164,18 +177,19 @@ func TestContentionDeratesAnalysis(t *testing.T) {
 
 func TestEDFTestAcceptsAndRejects(t *testing.T) {
 	p := testPlat()
+	edf := policyTest(t, core.RTMDMEDF())
 	light := task.NewSet(
 		mkTask(p, "a", 20_000, 0, segSpec{1000, 1000}),
 		mkTask(p, "b", 30_000, 1, segSpec{1000, 1000}),
 	)
-	if v := RTMDMEDF(light, p, 2); !v.Schedulable {
+	if v := edf(light, p); !v.Schedulable {
 		t.Fatalf("light set rejected: %s", v.Reason)
 	}
 	heavy := task.NewSet(
 		mkTask(p, "a", 2500, 0, segSpec{1000, 1000}),
 		mkTask(p, "b", 2500, 1, segSpec{1000, 1000}),
 	)
-	if v := RTMDMEDF(heavy, p, 2); v.Schedulable {
+	if v := edf(heavy, p); v.Schedulable {
 		t.Fatal("overloaded set accepted by EDF test")
 	}
 }
@@ -184,11 +198,9 @@ func TestEDFTestAcceptsAndRejects(t *testing.T) {
 // schedulable verdict to unschedulable.
 func TestPropertyMonotoneInPeriod(t *testing.T) {
 	p := testPlat()
-	tests := []func(*task.Set, cost.Platform) Verdict{
-		func(s *task.Set, pl cost.Platform) Verdict { return RTMDMRTA(s, pl, 2) },
-		SerialSegFPRTA,
-		SerialNPFPRTA,
-		func(s *task.Set, pl cost.Platform) Verdict { return RTMDMEDF(s, pl, 2) },
+	var tests []func(*task.Set, cost.Platform) Verdict
+	for _, pol := range []core.Policy{core.RTMDM(), core.SerialSegFP(), core.SerialNPFP(), core.RTMDMEDF()} {
+		tests = append(tests, policyTest(t, pol))
 	}
 	for trial := 0; trial < 40; trial++ {
 		s := randomSet(p, int64(trial), 3)
@@ -218,27 +230,41 @@ func scalePeriods(s *task.Set, f sim.Duration) *task.Set {
 	return task.NewSet(out...)
 }
 
+// TestForPolicyMapping pins every branch of the policy → test dispatch:
+// the Test name each analyzable policy resolves to, and the policies with
+// no sound test.
 func TestForPolicyMapping(t *testing.T) {
+	with := func(p core.Policy, f func(*core.Policy)) core.Policy {
+		f(&p)
+		return p
+	}
+	het := core.RTMDMPerTaskDepth(map[string]int{"a": 3})
 	cases := []struct {
 		pol  core.Policy
-		want string
+		want string // the Test name, or a substring of the resolution error
 		err  bool
 	}{
 		{core.RTMDM(), "rta-rtmdm-d2", false},
 		{core.RTMDMDepth(3), "rta-rtmdm-d3", false},
+		{core.RTMDMChunked(700), "rta-rtmdm-d2", false},
+		{het, "rta-rtmdm-het", false},
+		{with(het, func(p *core.Policy) { p.EDF = true }), "edf-rtmdm-het", false},
 		{core.SerialSegFP(), "rta-serial-segfp", false},
 		{core.SerialNPFP(), "rta-serial-npfp", false},
 		{core.RTMDMEDF(), "edf-rtmdm-d2", false},
 		{core.RTMDMFIFODMA(), "rta-rtmdm-fifo-d2", false},
-		{core.SerialSegEDF(), "", true},
+		{core.SerialSegEDF(), "no test for serial EDF", true},
+		{with(core.RTMDMFIFODMA(), func(p *core.Policy) { p.EDF = true }), "FIFO DMA under EDF", true},
+		{with(core.RTMDMFIFODMA(), func(p *core.Policy) { p.TaskDepth = map[string]int{"a": 3} }), "per-task-depth test under FIFO DMA", true},
+		{with(core.SerialSegFP(), func(p *core.Policy) { p.DMA = core.DMAFIFO }), "FIFO DMA on serial policies", true},
 	}
 	p := testPlat()
 	s := task.NewSet(mkTask(p, "a", 10_000, 0, segSpec{100, 100}))
 	for _, c := range cases {
 		fn, err := ForPolicy(c.pol)
 		if c.err {
-			if err == nil {
-				t.Errorf("%s: expected error", c.pol.Name)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: error %v, want one naming %q", c.pol.Name, err, c.want)
 			}
 			continue
 		}
@@ -310,7 +336,7 @@ func TestAudsleyBeatsNaiveOrderSometimes(t *testing.T) {
 
 func TestVerdictOnInvalidSet(t *testing.T) {
 	p := testPlat()
-	v := RTMDMRTA(task.NewSet(), p, 2)
+	v := policyTest(t, core.RTMDM())(task.NewSet(), p)
 	if v.Schedulable || v.Reason == "" {
 		t.Fatal("empty set produced a positive/silent verdict")
 	}
@@ -322,11 +348,12 @@ func TestFIFORTAIsMorePessimisticThanGatedForUrgentTask(t *testing.T) {
 	// region into repeated lower-task DMA interference, so its bound must
 	// be ≥ the gated bound. (Lower tasks can compare either way: the
 	// gated analysis pays the gate-idle term that FIFO avoids.)
+	gatedTest, fifoTest := policyTest(t, core.RTMDM()), policyTest(t, core.RTMDMFIFODMA())
 	for trial := 0; trial < 20; trial++ {
 		s := randomSet(p, int64(trial)+4242, 3)
 		hi := s.ByPriority()[0].Name
-		gated := RTMDMRTA(s, p, 2)
-		fifo := RTMDMFIFORTA(s, p, 2, 0)
+		gated := gatedTest(s, p)
+		fifo := fifoTest(s, p)
 		rg, okG := gated.WCRT[hi]
 		rf, okF := fifo.WCRT[hi]
 		if okG && okF && rf < rg {
@@ -341,7 +368,7 @@ func TestBreakdownFactor(t *testing.T) {
 	// α ≈ 10000/2000 = 5 (pipe = 2000 = load 1000 ∥ hidden? single
 	// segment: pipe = serial = 2000 → breakdown α = 5).
 	s := task.NewSet(mkTask(p, "a", 10_000, 0, segSpec{1000, 1000}))
-	test := func(ss *task.Set, pl cost.Platform) Verdict { return RTMDMRTA(ss, pl, 2) }
+	test := policyTest(t, core.RTMDM())
 	alpha := BreakdownFactor(s, p, test, 0.01)
 	if alpha < 4.9 || alpha > 5.01 {
 		t.Fatalf("breakdown α = %v, want ≈ 5.0", alpha)
@@ -358,7 +385,7 @@ func TestBreakdownFactor(t *testing.T) {
 		mkTask(p, "b", 50_000, 1, segSpec{1000, 1000}),
 	)
 	aRT := BreakdownFactor(mixed, p, test, 0.01)
-	aNP := BreakdownFactor(mixed, p, SerialNPFPRTA, 0.01)
+	aNP := BreakdownFactor(mixed, p, policyTest(t, core.SerialNPFP()), 0.01)
 	if aRT < aNP {
 		t.Fatalf("RT-MDM breakdown %v < NP %v", aRT, aNP)
 	}
@@ -372,8 +399,7 @@ func TestBreakdownFactorInfeasibleSetIsZero(t *testing.T) {
 	// use a set whose pipe exceeds any deadline reachable: not possible by
 	// scaling alone; instead check the trivial acceptance floor.
 	s := task.NewSet(mkTask(p, "a", 10_000, 0, segSpec{1000, 1000}))
-	test := func(ss *task.Set, pl cost.Platform) Verdict { return RTMDMRTA(ss, pl, 2) }
-	if BreakdownFactor(s, p, test, 0.05) <= 0 {
+	if BreakdownFactor(s, p, policyTest(t, core.RTMDM()), 0.05) <= 0 {
 		t.Fatal("feasible set reported zero breakdown")
 	}
 }

@@ -19,7 +19,7 @@ func ctxTestSet(t *testing.T, plat cost.Platform, pol core.Policy) *task.Set {
 	periods := []sim.Duration{50 * sim.Millisecond, 100 * sim.Millisecond}
 	var ts []*task.Task
 	for i, n := range names {
-		m, err := models.Build(n, 1)
+		m, err := models.Reference(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,14 +34,22 @@ func ctxTestSet(t *testing.T, plat cost.Platform, pol core.Policy) *task.Set {
 	return task.NewSet(ts...)
 }
 
-// TestForPolicyContextCanceled verifies every analyzable policy's test
-// reports an unschedulable "canceled" verdict under a dead context, and
-// that the same test under a live context still decides normally.
+// TestForPolicyContextCanceled verifies every analyzable branch of the
+// policy dispatch reports an unschedulable "canceled" verdict under a dead
+// context, and that the same test under a live context still decides
+// normally.
 func TestForPolicyContextCanceled(t *testing.T) {
 	plat := cost.STM32H743
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, pol := range []core.Policy{core.RTMDM(), core.RTMDMEDF(), core.SerialSegFP(), core.SerialNPFP()} {
+	het := core.RTMDMPerTaskDepth(map[string]int{"ds-cnn": 3, "autoencoder": 1})
+	hetEDF := het
+	hetEDF.EDF = true
+	pols := []core.Policy{
+		core.RTMDM(), core.RTMDMEDF(), core.SerialSegFP(), core.SerialNPFP(),
+		core.RTMDMFIFODMA(), core.RTMDMChunked(4 << 10), het, hetEDF,
+	}
+	for _, pol := range pols {
 		set := ctxTestSet(t, plat, pol)
 		test, err := ForPolicyContext(dead, pol)
 		if err != nil {

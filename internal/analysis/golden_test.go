@@ -3,6 +3,7 @@ package analysis
 import (
 	"testing"
 
+	"rtmdm/internal/core"
 	"rtmdm/internal/cost"
 	"rtmdm/internal/sim"
 	"rtmdm/internal/task"
@@ -78,15 +79,19 @@ func TestGoldenWCRTBounds(t *testing.T) {
 		},
 	}
 
+	pols := map[string]core.Policy{
+		"rtmdm": core.RTMDM(),
+		"segfp": core.SerialSegFP(),
+		"npfp":  core.SerialNPFP(),
+		"fifo":  core.RTMDMFIFODMA(),
+		"chunk": core.RTMDMChunked(1000),
+	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			run := map[string]Verdict{
-				"rtmdm": RTMDMRTA(c.set, c.plat, 2),
-				"segfp": SerialSegFPRTA(c.set, c.plat),
-				"npfp":  SerialNPFPRTA(c.set, c.plat),
-				"fifo":  RTMDMFIFORTA(c.set, c.plat, 2, 0),
-				"chunk": RTMDMRTAChunked(c.set, c.plat, 2, 1000),
+			run := map[string]Verdict{}
+			for name, pol := range pols {
+				run[name] = policyTest(t, pol)(c.set, c.plat)
 			}
 			for name, want := range c.want {
 				v := run[name]
@@ -106,7 +111,7 @@ func TestGoldenWCRTBounds(t *testing.T) {
 				t.Errorf("urgent-task bound ordering violated: chunk=%v rtmdm=%v segfp=%v npfp=%v fifo=%v",
 					hi("chunk"), hi("rtmdm"), hi("segfp"), hi("npfp"), hi("fifo"))
 			}
-			if got := RTMDMEDF(c.set, c.plat, 2).Schedulable; got != c.edf {
+			if got := policyTest(t, core.RTMDMEDF())(c.set, c.plat).Schedulable; got != c.edf {
 				t.Errorf("edf verdict %v, want %v", got, c.edf)
 			}
 		})

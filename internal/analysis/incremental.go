@@ -22,8 +22,9 @@
 //     conditions) that rejects before any fixpoint runs.
 //
 // Verdicts are bit-identical to the cold EvaluateScenario below — pinned
-// by FuzzIncrementalRTA — because the warm path runs the *same* loops
-// (rtmdmRTATerms / fpRTATerms) and every extension is identity-preserving:
+// by FuzzIncrementalRTA — because both resolve the policy through the same
+// dispatch (resolve), the warm path runs the *same* fixpoint loop
+// (family.rta), and every extension is identity-preserving:
 // cached demands are values of the same pure expressions, warm starts are
 // guarded by cold replays (warmIterate), and the screen fires only where
 // the fixpoint provably fails and is applied by both paths.
@@ -72,66 +73,6 @@ func Instrument(r *metrics.Registry) {
 	})
 }
 
-// admitScreened reports whether the policy's admission test is one of the
-// fixed-priority RTA families the necessary-condition screen applies to.
-// The cases mirror ForPolicyContext's dispatch order: FIFO DMA policies
-// (errors or the FIFO ablation) and the EDF demand test are excluded.
-func admitScreened(pol core.Policy) bool {
-	if pol.DMA == core.DMAFIFO {
-		return false
-	}
-	return pol.JobLevelNP || !pol.EDF
-}
-
-// rtmdmTestShape returns the test name and per-task depth function the
-// prefetching FP family uses — shared between ForPolicyContext-style cold
-// dispatch and the incremental analyzer so their Test strings cannot drift.
-func rtmdmTestShape(pol core.Policy) (string, func(*task.Task) int) {
-	if pol.TaskDepth != nil {
-		return "rta-rtmdm-het", func(t *task.Task) int { return pol.DepthFor(t.Name) }
-	}
-	d := pol.Depth
-	return fmt.Sprintf("rta-rtmdm-d%d", d), func(*task.Task) int { return d }
-}
-
-// admitTest returns the admission-path schedulability test for a policy:
-// ForPolicyContext's test with the pre-fixpoint demand screen enabled for
-// the FP RTA families, ForPolicyContext verbatim for everything else.
-func admitTest(ctx context.Context, pol core.Policy) (func(*task.Set, cost.Platform) Verdict, error) {
-	if !admitScreened(pol) {
-		return ForPolicyContext(ctx, pol)
-	}
-	opt := &admitOpts{screen: true}
-	switch {
-	case pol.JobLevelNP:
-		return func(s *task.Set, p cost.Platform) Verdict {
-			if err := s.Validate(); err != nil {
-				return Verdict{Test: "rta-serial-npfp", Reason: err.Error()}
-			}
-			ts := mkTerms(task.NewSet(s.ByPriority()...), p, 0)
-			return fpRTATerms(ctx, ts, "rta-serial-npfp", false, npfpBaseFn(), sumCL, opt)
-		}, nil
-	case pol.PrefetchAcrossJobs:
-		name, depthFor := rtmdmTestShape(pol)
-		c := pol.ChunkBytes
-		return func(s *task.Set, p cost.Platform) Verdict {
-			if err := s.Validate(); err != nil {
-				return Verdict{Test: name, Reason: err.Error()}
-			}
-			ts := mkTerms(task.NewSet(s.ByPriority()...), p, c)
-			return rtmdmRTATerms(ctx, ts, p, name, depthFor, c, false, opt)
-		}, nil
-	default:
-		return func(s *task.Set, p cost.Platform) Verdict {
-			if err := s.Validate(); err != nil {
-				return Verdict{Test: "rta-serial-segfp", Reason: err.Error()}
-			}
-			ts := mkTerms(task.NewSet(s.ByPriority()...), p, 0)
-			return fpRTATerms(ctx, ts, "rta-serial-segfp", false, segfpBaseFn(p, nil), sumCL, opt)
-		}, nil
-	}
-}
-
 // EvaluateScenario is the cold admission reference: build the scenario
 // and run its policy's schedulability test, with the admission screen
 // (necessary utilization, then per-task demand) in front of the FP
@@ -144,16 +85,17 @@ func EvaluateScenario(ctx context.Context, sc *scenario.Scenario) (Verdict, erro
 	if err != nil {
 		return Verdict{}, err
 	}
-	test, err := admitTest(ctx, pol)
+	f, err := resolve(pol)
 	if err != nil {
 		return Verdict{}, err
 	}
-	if admitScreened(pol) {
-		if v := NecessaryUtilization(set, plat); !v.Schedulable {
-			return v, nil
-		}
+	if !f.screened() {
+		return f.run(ctx, set, plat, nil), nil
 	}
-	return test(set, plat), nil
+	if v := NecessaryUtilization(set, plat); !v.Schedulable {
+		return v, nil
+	}
+	return f.run(ctx, set, plat, &admitOpts{screen: true}), nil
 }
 
 // EvalStats reports how one IncrementalAnalyzer evaluation was served.
@@ -228,6 +170,10 @@ type IncrementalAnalyzer struct {
 	horizonMs float64
 	plat      cost.Platform
 	pol       core.Policy
+	// fam and famErr are the policy's resolved test; a resolution error is
+	// reported where the cold path reports it, after provisioning.
+	fam    family
+	famErr error
 
 	// term cache: deterministic LRU (front = most recently used).
 	entries  map[entryKey]*list.Element
@@ -283,6 +229,7 @@ func (a *IncrementalAnalyzer) bind(sc *scenario.Scenario) error {
 	a.bound = true
 	a.platform, a.policy, a.horizonMs = sc.Platform, sc.Policy, sc.HorizonMs
 	a.plat, a.pol = plat, pol
+	a.fam, a.famErr = resolve(pol)
 	return nil
 }
 
@@ -327,30 +274,23 @@ func (a *IncrementalAnalyzer) entry(tsp scenario.TaskSpec, hash string, n int, l
 }
 
 // newEntry precomputes everything the admission analyses need from one
-// built task: analysis terms under the policy's test chunking, the
+// built task: analysis terms under the family's test chunking, the
 // chunk-0 sums the utilization screen uses, and the per-job demand at
 // depth 1 and at the task's own prefetch depth. All are values of the
 // same pure expressions the cold path computes per evaluation.
 func (a *IncrementalAnalyzer) newEntry(tk *task.Task) *taskEntry {
-	var chunk int64
-	if a.pol.PrefetchAcrossJobs {
-		chunk = a.pol.ChunkBytes
-	}
-	tm := mkTerms(task.NewSet(tk), a.plat, chunk)[0]
+	ts := mkTerms(task.NewSet(tk), a.plat, a.fam.chunk)
+	tm := ts[0]
 	tm.t = nil
 	t0 := tm
-	if chunk != 0 {
+	if a.fam.chunk != 0 {
 		t0 = mkTerms(task.NewSet(tk), a.plat, 0)[0]
 	}
 	ent := &taskEntry{tmpl: *tk, tm: tm, sumC0: t0.sumC, sumL0: t0.sumL}
-	sw := switchCost(a.plat)
-	pl := tk.Plan.Chunked(chunk)
-	ent.demandSerial = pl.PipelineNsWith(1, 0, sw,
-		a.plat.Bus.DMADen, a.plat.Bus.DMANum, a.plat.Bus.CPUDen, a.plat.Bus.CPUNum)
+	ent.demandSerial = a.fam.ownDemand(ts, 0, 1, a.plat, nil)
 	ent.demandTop = ent.demandSerial
 	if d := a.pol.DepthFor(tk.Name); a.pol.PrefetchAcrossJobs && d != 1 {
-		ent.demandTop = pl.PipelineNsWith(d, 0, sw,
-			a.plat.Bus.DMADen, a.plat.Bus.DMANum, a.plat.Bus.CPUDen, a.plat.Bus.CPUNum)
+		ent.demandTop = a.fam.ownDemand(ts, 0, d, a.plat, nil)
 	}
 	return ent
 }
@@ -498,14 +438,13 @@ func (a *IncrementalAnalyzer) Evaluate(ctx context.Context, sc *scenario.Scenari
 		return Verdict{}, st, err
 	}
 
-	if !admitScreened(a.pol) {
-		// EDF (and any non-FP family): no warm fixpoints to reuse beyond
-		// the cached builds; run the policy's test as the cold path does.
-		test, err := ForPolicyContext(ctx, a.pol)
-		if err != nil {
-			return Verdict{}, st, err
-		}
-		v := test(set, a.plat)
+	if a.famErr != nil {
+		return Verdict{}, st, a.famErr
+	}
+	if !a.fam.screened() {
+		// EDF and the FIFO ablation: no warm fixpoints to reuse beyond the
+		// cached builds; run the policy's test as the cold path does.
+		v := a.fam.run(ctx, set, a.plat, nil)
 		a.record(sc, nil, nil, Verdict{})
 		return v, st, nil
 	}
@@ -545,24 +484,14 @@ func (a *IncrementalAnalyzer) Evaluate(ctx context.Context, sc *scenario.Scenari
 		dTop[j] = ents[i].demandTop
 	}
 
-	opt := &admitOpts{screen: true, warm: a.warmStart(sc, hashes)}
-	var v Verdict
-	switch {
-	case a.pol.JobLevelNP:
-		v = fpRTATerms(ctx, ts, "rta-serial-npfp", false, npfpBaseFn(), sumCL, opt)
-	case a.pol.PrefetchAcrossJobs:
-		name, depthFor := rtmdmTestShape(a.pol)
-		opt.demandFor = func(i, depth int) int64 {
+	opt := &admitOpts{screen: true, warm: a.warmStart(sc, hashes),
+		demandFor: func(i, depth int) int64 {
 			if depth == 1 {
 				return dSerial[i]
 			}
 			return dTop[i]
-		}
-		v = rtmdmRTATerms(ctx, ts, a.plat, name, depthFor, a.pol.ChunkBytes, false, opt)
-	default:
-		v = fpRTATerms(ctx, ts, "rta-serial-segfp", false,
-			segfpBaseFn(a.plat, func(i int) int64 { return dSerial[i] }), sumCL, opt)
-	}
+		}}
+	v := a.fam.rta(ctx, ts, a.plat, opt)
 
 	if opt.warm != nil && opt.warm.warmStarts > 0 {
 		st.Warm = true

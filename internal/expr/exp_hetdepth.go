@@ -34,6 +34,10 @@ func runT24(cfg Config) (*Table, error) {
 		Notes: "tuned = any accepted point of {1..4}ⁿ windows on the same plans; cheapest = least-staging accepted assignment; slack-opt = the accepted assignment maximizing worst-case slack (ties → less staging)",
 	}
 	base := core.RTMDM()
+	uniformTest, err := analysis.ForPolicy(base)
+	if err != nil {
+		return nil, err
+	}
 	for _, u := range []float64{0.5, 0.6, 0.7, 0.8} {
 		specs, err := genSpecs(cfg, u, cfg.N)
 		if err != nil {
@@ -55,7 +59,7 @@ func runT24(cfg Config) (*Table, error) {
 				return
 			}
 			r := t24res{deployed: true}
-			r.d2OK = analysis.RTMDMRTA(set, cfg.Platform, 2).Schedulable
+			r.d2OK = uniformTest(set, cfg.Platform).Schedulable
 			r.d2Stage = float64(stagingNeed(set, uniformDepths(set, 2))) / 1024
 			r.d4OK = acceptedAtDepths(set, cfg.Platform, uniformDepths(set, 4))
 			if cheapest, slackOpt, ok := tuneDepths(set, cfg.Platform); ok {
@@ -126,12 +130,22 @@ func stagingNeed(s *task.Set, depths map[string]int) int64 {
 }
 
 func acceptedAtDepths(s *task.Set, plat cost.Platform, depths map[string]int) bool {
+	v, ok := perTaskDepthVerdict(s, plat, depths)
+	return ok && v.Schedulable
+}
+
+// perTaskDepthVerdict runs the analysis of RT-MDM at the given per-task
+// windows; ok is false when the windows cannot be provisioned.
+func perTaskDepthVerdict(s *task.Set, plat cost.Platform, depths map[string]int) (v analysis.Verdict, ok bool) {
 	pol := core.RTMDMPerTaskDepth(depths)
 	if core.Provision(s, plat, pol) != nil {
-		return false
+		return v, false
 	}
-	v := analysis.RTMDMRTADepths(s, plat, func(tk *task.Task) int { return pol.DepthFor(tk.Name) })
-	return v.Schedulable
+	test, err := analysis.ForPolicy(pol)
+	if err != nil {
+		return v, false
+	}
+	return test(s, plat), true
 }
 
 // tuneDepths brute-forces window assignments over {1,2,3,4}ⁿ and returns
@@ -154,12 +168,8 @@ func tuneDepths(s *task.Set, plat cost.Platform) (cheapest, slackOpt map[string]
 			for k, n := range names {
 				depths[n] = assign[k]
 			}
-			pol := core.RTMDMPerTaskDepth(depths)
-			if core.Provision(s, plat, pol) != nil {
-				return
-			}
-			v := analysis.RTMDMRTADepths(s, plat, func(tk *task.Task) int { return pol.DepthFor(tk.Name) })
-			if !v.Schedulable {
+			v, provisioned := perTaskDepthVerdict(s, plat, depths)
+			if !provisioned || !v.Schedulable {
 				return
 			}
 			staging := stagingNeed(s, depths)
