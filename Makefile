@@ -35,13 +35,15 @@ race: vet
 	$(GO) test -race ./internal/expr ./internal/dse ./internal/workload ./internal/fault ./internal/exec ./internal/server ./internal/analysis ./internal/cluster ./internal/lint ./internal/corpus ./internal/models ./internal/scenario
 
 # Fuzz smoke: short coverage-guided runs of the scenario parser/builder,
-# the canonical-hash round trip, and the incremental-vs-cold analysis
-# differential (the fuzz engine takes one -fuzz target at a time;
+# the canonical-hash round trip, the incremental-vs-cold analysis
+# differential, and the streaming trace checker against the post-hoc
+# CheckInvariants (the fuzz engine takes one -fuzz target at a time;
 # FuzzParse also drives Build and FaultPlan on every accepted input).
 fuzz:
 	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^FuzzCanonicalHash$$' -fuzz='^FuzzCanonicalHash$$' -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^FuzzIncrementalRTA$$' -fuzz='^FuzzIncrementalRTA$$' -fuzztime=10s ./internal/analysis
+	$(GO) test -run='^FuzzStreamMatchesPostHoc$$' -fuzz='^FuzzStreamMatchesPostHoc$$' -fuzztime=10s ./internal/trace
 
 # Non-test Go line count: every .go file except _test.go files, the
 # benchmark module under perfbench/ and its build cache under .bench_build/

@@ -10,6 +10,7 @@ import (
 	"rtmdm/internal/core"
 	"rtmdm/internal/corpus"
 	"rtmdm/internal/cost"
+	"rtmdm/internal/exec"
 	"rtmdm/internal/models"
 	"rtmdm/internal/scenario"
 	"rtmdm/internal/segment"
@@ -17,26 +18,38 @@ import (
 	"rtmdm/internal/workload"
 )
 
-// TestSimulateAllocBudget pins the steady-state allocation count of a full
-// case-study simulation so the slab-based event kernel cannot silently
-// regress back to per-event heap traffic. The budget has ~20% slack over
-// the measured steady state (≈13.6k allocs: jobs, trace events and metric
-// buckets — the simulation kernel itself is zero-alloc, see
-// internal/sim/slab_test.go). The pre-slab baseline was ≈19.2k allocs/op.
-func TestSimulateAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc accounting is wall-time sensitive; skipped in -short")
-	}
-	plat := DefaultPlatform()
-	pol := RTMDM()
+// caseStudySet is the three-model case study of the simulation budgets
+// and benchmarks.
+func caseStudySet(tb testing.TB, plat Platform, pol Policy) *TaskSet {
+	tb.Helper()
 	set, err := NewSystem(plat, pol).
 		AddTask("kws", "ds-cnn", 50*Millisecond).
 		AddTask("det", "mobilenetv1-0.25", 150*Millisecond).
 		AddTask("anomaly", "autoencoder", 100*Millisecond).
 		Build()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return set
+}
+
+// TestSimulateAllocBudget pins the steady-state allocation count of a full
+// case-study simulation through the public Simulate, which records every
+// event, so neither the executor nor the streaming checker can silently
+// regress back to per-event heap traffic. The budget has ~20% slack over
+// the measured steady state (≈265 allocs: jobs, their transfer callbacks,
+// the recorded trace's growth and the metrics; the simulation kernel and
+// the devices are zero-alloc, see internal/sim/slab_test.go and
+// internal/platform). It was ≈13.6k allocs/op while every event was
+// recorded and then replayed through CheckInvariants and a map-based
+// Analyze, and ≈19.2k before the event slab.
+func TestSimulateAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is wall-time sensitive; skipped in -short")
+	}
+	plat := DefaultPlatform()
+	pol := RTMDM()
+	set := caseStudySet(t, plat, pol)
 	// Warm the engine pool and the offline caches before measuring.
 	if _, err := Simulate(set, plat, pol, Second); err != nil {
 		t.Fatal(err)
@@ -46,9 +59,52 @@ func TestSimulateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 16500
+	const budget = 320
 	if allocs > budget {
 		t.Fatalf("Simulate steady state: %.0f allocs/op, budget %d", allocs, budget)
+	}
+}
+
+// TestRunAllocBudget pins a non-recording exec.Run of the same case study,
+// the path every experiment sweep and corpus check takes: no event is
+// kept, each is checked and measured as it is emitted. Budget ~20% over
+// the measured steady state (≈250 allocs/op for 37 jobs: per job, the job,
+// its two transfer callbacks, its deadline watch and pending-queue growth;
+// per run, the devices, the checker and the metrics). The same run made
+// ≈13.6k allocations while every event was recorded and replayed.
+func TestRunAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is wall-time sensitive; skipped in -short")
+	}
+	plat := DefaultPlatform()
+	pol := RTMDM()
+	set := caseStudySet(t, plat, pol)
+	if _, err := exec.Run(set, plat, pol, Second); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := exec.Run(set, plat, pol, Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 300
+	if allocs > budget {
+		t.Fatalf("exec.Run steady state: %.0f allocs/op, budget %d", allocs, budget)
+	}
+}
+
+// BenchmarkRunCaseStudySecond is BenchmarkSimulateCaseStudySecond without
+// recording the events: the executor layer as the sweeps run it.
+func BenchmarkRunCaseStudySecond(b *testing.B) {
+	plat := DefaultPlatform()
+	pol := RTMDM()
+	set := caseStudySet(b, plat, pol)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Run(set, plat, pol, Second); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -58,7 +114,8 @@ func TestSimulateAllocBudget(t *testing.T) {
 // caches internal/workload memoizes) cannot silently regress the sweep's
 // throughput. Individual checks vary with the drawn scenario (simulation
 // length dominates), so the budget covers the whole slice with ~20% slack
-// over the measured ≈44.4k.
+// over the measured ≈10.3k (≈44.4k while every simulated event was
+// recorded and replayed through the post-hoc checks).
 func TestCorpusCheckAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is wall-time sensitive; skipped in -short")
@@ -80,7 +137,7 @@ func TestCorpusCheckAllocBudget(t *testing.T) {
 	}
 	sweep() // warm the model/segmentation/spec caches
 	allocs := testing.AllocsPerRun(5, sweep)
-	const budget = 53000
+	const budget = 12500
 	if allocs > budget {
 		t.Fatalf("corpus check steady state: %.0f allocs per 8-check sweep, budget %d", allocs, budget)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -158,7 +159,7 @@ func main() {
 		reg = metrics.NewRegistry()
 		exec.Instrument(reg)
 	}
-	r, err := exec.RunWithFaults(set, plat, pol, horizon, plan)
+	r, err := exec.RunWithFaultsContext(context.Background(), set, plat, pol, horizon, plan, &trace.Trace{})
 	if err != nil {
 		fatal(err)
 	}

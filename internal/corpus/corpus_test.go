@@ -412,3 +412,37 @@ func TestCorpusMetrics(t *testing.T) {
 		t.Fatalf("corpus counters unwired: generated=%d sim_runs=%d", gen.Value, sim.Value)
 	}
 }
+
+// TestInjectedBugTripsDominance proves the bound-dominance check is live:
+// with the injected bug's halved WCRT bounds, some schedulable instance's
+// simulated maximum response must exceed its bound. The slice is kept
+// lightly loaded so the verdicts are genuinely schedulable and the
+// dominance check, not the miss count, is what fires.
+func TestInjectedBugTripsDominance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus sweep in -short mode")
+	}
+	s := testSpec(40)
+	s.Utils = []float64{0.3}
+	s.FaultProfiles = []string{"none"}
+	g, err := NewGenerator(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOracle(g)
+	ctx := context.Background()
+	for i := 0; i < g.Count(); i++ {
+		if out := o.Check(ctx, i); out.Class == ClassViolation {
+			t.Fatalf("sound oracle flagged instance %d: %v", i, out.Violations)
+		}
+	}
+	o.InjectVerdictBug = true
+	for i := 0; i < g.Count(); i++ {
+		for _, msg := range o.Check(ctx, i).Violations {
+			if strings.HasPrefix(msg, "dominance:") {
+				return
+			}
+		}
+	}
+	t.Fatal("halved WCRT bounds produced no dominance violation")
+}

@@ -67,14 +67,16 @@ func (o *Outcome) manifestLine() string {
 
 // Oracle runs the differential soundness checks for corpus instances:
 // cold RTA, incremental-vs-cold verdict parity (fresh and warm), nominal
-// simulation soundness (analysis-schedulable ⇒ zero simulated misses),
-// and faulted-simulation crash-freedom.
+// simulation soundness (analysis-schedulable ⇒ zero simulated misses and
+// every task's simulated maximum response within its WCRT bound), and
+// faulted-simulation crash-freedom.
 type Oracle struct {
 	gen *Generator
 	// InjectVerdictBug deliberately corrupts the analysis verdict
-	// (claiming every analyzable task set schedulable) before the
-	// soundness check. Used by the self-check tier to prove the oracle
-	// actually fails when the analysis is wrong; never set in real runs.
+	// (claiming every analyzable task set schedulable, with every WCRT
+	// bound halved) before the soundness checks. Used by the self-check
+	// tier to prove the oracle actually fails when the analysis is
+	// wrong; never set in real runs.
 	InjectVerdictBug bool
 }
 
@@ -205,6 +207,25 @@ func (o *Oracle) evaluate(ctx context.Context, sc *scenario.Scenario) Outcome {
 		out.Violations = append(out.Violations,
 			fmt.Sprintf("soundness: analysis says schedulable (test=%s) but nominal simulation missed %d deadlines", cold.Test, out.Misses))
 	}
+	if claims {
+		// Bound dominance: a schedulable verdict bounds every response,
+		// not just the deadline, so each simulated maximum must sit
+		// within its task's WCRT (tests without per-task bounds, such as
+		// the EDF demand test, report none and are skipped).
+		for _, t := range set.Tasks {
+			bound, ok := cold.WCRT[t.Name]
+			if !ok {
+				continue
+			}
+			if o.InjectVerdictBug {
+				bound /= 2
+			}
+			if got := res.Metrics.PerTask[t.Name].MaxResponse; got > bound {
+				out.Violations = append(out.Violations,
+					fmt.Sprintf("dominance: task %s simulated max response %v exceeds its WCRT bound %v (test=%s)", t.Name, got, bound, cold.Test))
+			}
+		}
+	}
 
 	// Faulted simulation: crash-freedom only. The executor must survive
 	// any generated fault plan without an internal error.
@@ -214,7 +235,7 @@ func (o *Oracle) evaluate(ctx context.Context, sc *scenario.Scenario) Outcome {
 			out.Violations = append(out.Violations, "fault-plan: "+planErr.Error())
 			return out
 		}
-		fres, fErr := exec.RunWithFaultsContext(ctx, set, plat, pol, sc.Horizon(), plan)
+		fres, fErr := exec.RunWithFaultsContext(ctx, set, plat, pol, sc.Horizon(), plan, nil)
 		if fErr != nil {
 			if ctx.Err() != nil {
 				out.canceled = true

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -78,18 +79,18 @@ func TestRunContextNominalIdentical(t *testing.T) {
 	pol := core.RTMDM()
 	set := ctxTestSet(t, plat, pol)
 
-	want, err := Run(set, plat, pol, 300*sim.Millisecond)
+	want, err := runRec(set, plat, pol, 300*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	got, err := RunContext(ctx, set, plat, pol, 300*sim.Millisecond)
+	got, err := runCtxRec(ctx, set, plat, pol, 300*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Trace.Len() != want.Trace.Len() {
-		t.Fatalf("trace length %d under context, %d without", got.Trace.Len(), want.Trace.Len())
+	if !reflect.DeepEqual(got.Trace, want.Trace) || !reflect.DeepEqual(got.Metrics, want.Metrics) {
+		t.Fatalf("trace or metrics differ under context: %d vs %d events", got.Trace.Len(), want.Trace.Len())
 	}
 	if got.CPUBusyNs != want.CPUBusyNs || got.DMABusyNs != want.DMABusyNs {
 		t.Fatalf("busy counters diverge: ctx (%d, %d) vs plain (%d, %d)",

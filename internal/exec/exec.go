@@ -2,14 +2,15 @@
 // under a core.Policy, in virtual time. It is the runtime half of the
 // RT-MDM framework: releases periodic jobs, stages segment parameters
 // through the DMA engine, dispatches segment computes on the CPU, and
-// records everything in a trace for metrics and invariant checking.
+// feeds every event to a streaming trace.Checker that verifies the trace
+// invariants and accumulates metrics as the run goes. The events
+// themselves are kept only for callers that pass a trace to record into.
 package exec
 
 import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -89,6 +90,8 @@ func Instrument(r *metrics.Registry) {
 
 // Result is everything one simulation run produces.
 type Result struct {
+	// Trace is the recorded event log, nil unless the caller passed a
+	// trace to RunWithFaultsContext.
 	Trace   *trace.Trace
 	Metrics *trace.Metrics
 	Infos   []trace.TaskInfo
@@ -171,6 +174,15 @@ type job struct {
 	attempt int
 	xfer    *platform.Transfer
 	retryEv sim.Event
+	// transfer is the job's one DMA request, re-submitted for every chunk
+	// of every segment; its callbacks are bound on the job's first
+	// transfer, and retry (the backoff callback) on its first fault.
+	transfer platform.Transfer
+	retry    func()
+	// watch is the deadline check, bound once per job; deadlineDue marks
+	// its second, same-instant firing.
+	watch       func()
+	deadlineDue bool
 }
 
 func (j *job) name() string    { return j.rt.t.Name }
@@ -189,6 +201,8 @@ type rtask struct {
 	// suppress counts future releases to shed (OverrunSkipNext): each
 	// deadline miss of this task suppresses one upcoming release.
 	suppress int
+	// releaseFn is the task's release callback, bound once per run.
+	releaseFn func()
 }
 
 //rtmdm:hotpath
@@ -207,8 +221,17 @@ type runner struct {
 	set  *task.Set
 	plat cost.Platform
 	pol  core.Policy
-	tr   *trace.Trace
-	rts  []*rtask
+	// chk checks and measures every emitted event; rec, when non-nil,
+	// also records it.
+	chk *trace.Checker
+	rec *trace.Trace
+	rts []*rtask
+	// heads is headJobs' scratch buffer.
+	heads []*job
+	// dispatchFn and computeDoneFn are r.dispatch and r.onComputeDone,
+	// bound once per run so scheduling them allocates nothing.
+	dispatchFn    func()
+	computeDoneFn func()
 	// locked is the in-progress job under job-level non-preemption.
 	locked *job
 	// running is the job currently occupying the CPU (nil when idle).
@@ -262,8 +285,10 @@ func (e *InternalError) Error() string {
 }
 
 // Run simulates the task set on the platform under the policy until the
-// horizon. The returned result carries the full trace; Run also verifies
-// the trace invariants before returning.
+// horizon. The trace invariants are checked and the metrics accumulated
+// as the run emits its events; a violated invariant fails the run. The
+// result carries the metrics, not the events: callers that read events
+// pass a trace to RunWithFaultsContext.
 func Run(set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duration) (*Result, error) {
 	return RunWithFaults(set, plat, pol, horizon, nil)
 }
@@ -275,7 +300,7 @@ func Run(set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duratio
 // cancellation is byte-identical to Run — the server's request deadlines
 // ride on this without costing nominal runs anything.
 func RunContext(ctx context.Context, set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duration) (*Result, error) {
-	return RunWithFaultsContext(ctx, set, plat, pol, horizon, nil)
+	return RunWithFaultsContext(ctx, set, plat, pol, horizon, nil, nil)
 }
 
 // RunWithFaults is Run under a fault-injection plan (nil = nominal: the
@@ -285,12 +310,14 @@ func RunContext(ctx context.Context, set *task.Set, plat cost.Platform, pol core
 // deadlines. Platform-layer invariant panics are converted to an
 // *InternalError rather than crashing the caller.
 func RunWithFaults(set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duration, plan *fault.Plan) (res *Result, err error) {
-	return RunWithFaultsContext(context.Background(), set, plat, pol, horizon, plan)
+	return RunWithFaultsContext(context.Background(), set, plat, pol, horizon, plan, nil)
 }
 
 // RunWithFaultsContext is RunWithFaults with a cancellation context; see
-// RunContext for the abort semantics.
-func RunWithFaultsContext(ctx context.Context, set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duration, plan *fault.Plan) (res *Result, err error) {
+// RunContext for the abort semantics. When rec is non-nil every event is
+// also appended to it, and the result's Trace is rec; the other entry
+// points record nothing.
+func RunWithFaultsContext(ctx context.Context, set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duration, plan *fault.Plan, rec *trace.Trace) (res *Result, err error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
@@ -318,11 +345,22 @@ func RunWithFaultsContext(ctx context.Context, set *task.Set, plat cost.Platform
 		eng: eng, cpu: cpu, dma: dma,
 		sram: platform.NewSRAM(plat.WeightBufBytes),
 		set:  set, plat: plat, pol: pol,
-		tr:      &trace.Trace{},
+		rec:     rec,
+		heads:   make([]*job, 0, len(set.Tasks)),
 		horizon: horizon,
 		ins:     ins,
 		plan:    plan,
 	}
+	r.dispatchFn = r.dispatch
+	r.computeDoneFn = r.onComputeDone
+	infos := make([]trace.TaskInfo, 0, len(set.Tasks))
+	for _, t := range set.Tasks {
+		infos = append(infos, trace.TaskInfo{
+			Name: t.Name, Period: t.Period, Deadline: t.Deadline,
+			Offset: t.Offset, Jitter: r.effJitter(t), Segments: t.NumSegments(),
+		})
+	}
+	r.chk = trace.NewChecker(infos, horizon)
 	if plan != nil {
 		dma.SetDerate(func(at sim.Time, workNs int64) int64 {
 			scaled := plan.DMADerateNs(at, workNs)
@@ -334,6 +372,7 @@ func RunWithFaultsContext(ctx context.Context, set *task.Set, plat cost.Platform
 	}
 	for _, t := range set.Tasks {
 		rt := &rtask{t: t}
+		rt.releaseFn = func() { r.release(rt) }
 		r.rts = append(r.rts, rt)
 		r.scheduleRelease(rt, 0)
 	}
@@ -349,15 +388,7 @@ func RunWithFaultsContext(ctx context.Context, set *task.Set, plat cost.Platform
 	if r.err != nil {
 		return nil, r.err
 	}
-
-	infos := make([]trace.TaskInfo, 0, len(set.Tasks))
-	for _, t := range set.Tasks {
-		infos = append(infos, trace.TaskInfo{
-			Name: t.Name, Period: t.Period, Deadline: t.Deadline,
-			Offset: t.Offset, Jitter: r.effJitter(t), Segments: t.NumSegments(),
-		})
-	}
-	if err := r.tr.CheckInvariants(infos); err != nil {
+	if err := r.chk.Err(); err != nil {
 		return nil, fmt.Errorf("exec: trace invariant violated under %s: %w", pol.Name, err)
 	}
 	ins.runs.Add(1)
@@ -367,8 +398,8 @@ func RunWithFaultsContext(ctx context.Context, set *task.Set, plat cost.Platform
 	ins.sramPeak.SetMax(r.sram.Peak())
 	energy := plat.Energy.EnergyMicroJ(int64(horizon), cpu.BusyNs, dma.BusyNs, r.flashBytes)
 	return &Result{
-		Trace:              r.tr,
-		Metrics:            r.tr.Analyze(infos, horizon),
+		Trace:              rec,
+		Metrics:            r.chk.Metrics(),
 		Infos:              infos,
 		Horizon:            horizon,
 		CPUBusyNs:          cpu.BusyNs,
@@ -399,11 +430,15 @@ func (r *runner) effJitter(t *task.Task) sim.Duration {
 	return j
 }
 
+// emit checks and accounts one event, and records it when asked to.
+//
 //rtmdm:hotpath
 func (r *runner) emit(k trace.Kind, j *job, seg int, bytes int64) {
-	r.tr.Add(trace.Event{
-		At: r.eng.Now(), Kind: k, Task: j.name(), Job: j.idx, Segment: seg, Bytes: bytes,
-	})
+	e := trace.Event{At: r.eng.Now(), Kind: k, Task: j.name(), Job: j.idx, Segment: seg, Bytes: bytes}
+	r.chk.Observe(e)
+	if r.rec != nil {
+		r.rec.Add(e)
+	}
 }
 
 // scheduleRelease arms job k's arrival: nominal grid point plus a
@@ -423,7 +458,7 @@ func (r *runner) scheduleRelease(rt *rtask, k int) {
 			at = lim
 		}
 	}
-	r.eng.Schedule(at, func() { r.release(rt) })
+	r.eng.Schedule(at, rt.releaseFn)
 }
 
 // releaseJitter derives a deterministic delay in [0, max] from the task
@@ -471,28 +506,35 @@ func (r *runner) release(rt *rtask) {
 	r.ins.jobsReleased.Add(1)
 	r.emit(trace.Release, j, -1, 0)
 	if j.absDeadline <= r.horizon {
-		// Watch the absolute deadline. The check double-defers through a
-		// fresh same-instant event so that a completion at exactly the
-		// deadline (whose events were queued earlier, with lower sequence
-		// numbers) is processed first and does not count as a miss.
-		r.eng.Schedule(j.absDeadline, func() {
-			r.eng.Schedule(r.eng.Now(), func() {
-				if j.done {
-					return
-				}
-				r.ins.deadlineMisses.Add(1)
-				r.emit(trace.DeadlineMiss, j, -1, 0)
-				switch r.pol.Overrun {
-				case core.OverrunAbort:
-					r.abort(j)
-				case core.OverrunSkipNext:
-					rt.suppress++
-				}
-			})
-		})
+		j.watch = func() { r.watchDeadline(j) }
+		r.eng.Schedule(j.absDeadline, j.watch)
 	}
 	r.scheduleRelease(rt, rt.nextIdx)
 	r.kick()
+}
+
+// watchDeadline checks j's absolute deadline. The check double-defers
+// through a fresh same-instant event (the first call re-schedules
+// j.watch) so that a completion at exactly the deadline (whose events
+// were queued earlier, with lower sequence numbers) is processed first
+// and does not count as a miss.
+func (r *runner) watchDeadline(j *job) {
+	if !j.deadlineDue {
+		j.deadlineDue = true
+		r.eng.Schedule(r.eng.Now(), j.watch)
+		return
+	}
+	if j.done {
+		return
+	}
+	r.ins.deadlineMisses.Add(1)
+	r.emit(trace.DeadlineMiss, j, -1, 0)
+	switch r.pol.Overrun {
+	case core.OverrunAbort:
+		r.abort(j)
+	case core.OverrunSkipNext:
+		j.rt.suppress++
+	}
 }
 
 // abort kills job j at its deadline (core.OverrunAbort): the CPU and the
@@ -548,19 +590,24 @@ func (r *runner) abort(j *job) {
 // instant is processed first; loads may unblock computes and vice versa,
 // but a single pass suffices: tryDMA only issues transfers (completion
 // comes later), and tryCPU's completion re-kicks.
+//
+//rtmdm:hotpath
 func (r *runner) kick() {
 	if r.err != nil || r.kickPending {
 		return
 	}
 	r.kickPending = true
-	r.eng.Schedule(r.eng.Now(), func() {
-		r.kickPending = false
-		if r.err != nil {
-			return
-		}
-		r.tryDMA()
-		r.tryCPU()
-	})
+	r.eng.Schedule(r.eng.Now(), r.dispatchFn)
+}
+
+// dispatch is the deferred pass kick requests.
+func (r *runner) dispatch() {
+	r.kickPending = false
+	if r.err != nil {
+		return
+	}
+	r.tryDMA()
+	r.tryCPU()
 }
 
 // less orders jobs most-urgent-first under the policy's discipline.
@@ -576,15 +623,18 @@ func (r *runner) less(a, b *job) bool {
 	return a.name() < b.name()
 }
 
-// headJobs returns the head job of every task that has one.
+// headJobs returns the head job of every task that has one, in the
+// runner's scratch buffer (valid until the next call).
+//
+//rtmdm:hotpath
 func (r *runner) headJobs() []*job {
-	out := make([]*job, 0, len(r.rts))
+	r.heads = r.heads[:0]
 	for _, rt := range r.rts {
 		if j := rt.head(); j != nil {
-			out = append(out, j)
+			r.heads = append(r.heads, j)
 		}
 	}
-	return out
+	return r.heads
 }
 
 // cpuEligible reports whether j could occupy the CPU next.
@@ -608,12 +658,6 @@ func (r *runner) loadTarget() *job {
 	if len(heads) == 0 {
 		return nil
 	}
-	loadable := func(j *job) bool {
-		if j.done || j.loading || j.allLoaded() {
-			return false
-		}
-		return j.nextLoad-j.nextCompute < r.pol.DepthFor(j.rt.t.Name)
-	}
 	if !r.pol.PrefetchAcrossJobs {
 		// Identify the head-of-line job: the one on the CPU, the locked
 		// job, or the most urgent head job. Serial policies never load for
@@ -631,30 +675,25 @@ func (r *runner) loadTarget() *job {
 				}
 			}
 		}
-		if hol != nil && loadable(hol) {
+		if hol != nil && r.loadable(hol) {
 			return hol
 		}
 		return nil
 	}
 	if r.pol.DMA == core.DMAFIFO {
 		// Memory-unaware ablation: any job with buffer room competes, in
-		// release order.
-		cands := heads[:0]
+		// release order (task name breaks ties; heads are one per task).
+		var first *job
 		for _, j := range heads {
-			if loadable(j) {
-				cands = append(cands, j)
+			if !r.loadable(j) {
+				continue
+			}
+			if first == nil || j.release < first.release ||
+				(j.release == first.release && j.name() < first.name()) {
+				first = j
 			}
 		}
-		if len(cands) == 0 {
-			return nil
-		}
-		sort.Slice(cands, func(i, k int) bool {
-			if cands[i].release != cands[k].release {
-				return cands[i].release < cands[k].release
-			}
-			return cands[i].name() < cands[k].name()
-		})
-		return cands[0]
+		return first
 	}
 	// Priority-gated issuing (the RT-MDM design point): the channel is
 	// reserved for the most urgent incomplete job that still has loads
@@ -671,7 +710,7 @@ func (r *runner) loadTarget() *job {
 			gate = j
 		}
 	}
-	if gate != nil && loadable(gate) {
+	if gate != nil && r.loadable(gate) {
 		return gate
 	}
 	// When the gate job's window is full the channel deliberately idles:
@@ -682,6 +721,17 @@ func (r *runner) loadTarget() *job {
 	// its offline bound must already assume its loads freeze whenever a
 	// more urgent job has DMA demand left (see docs/ANALYSIS.md §4).
 	return nil
+}
+
+// loadable reports whether j may stage another segment now: it has loads
+// left, none in flight, and room in its prefetch window.
+//
+//rtmdm:hotpath
+func (r *runner) loadable(j *job) bool {
+	if j.done || j.loading || j.allLoaded() {
+		return false
+	}
+	return j.nextLoad-j.nextCompute < r.pol.DepthFor(j.rt.t.Name)
 }
 
 // tryDMA issues at most one transfer; zero-byte segments stage instantly
@@ -727,54 +777,73 @@ func (r *runner) tryDMA() {
 			// the channel at the chunk boundary.
 			bytes = c
 		}
-		r.issueChunk(j, seg, bytes)
+		r.issueChunk(j, bytes)
 		return
 	}
 }
 
-// issueChunk submits one parameter-chunk transfer for j's segment seg and
-// handles its completion. Under a fault plan the chunk may be lost to a
-// transient transfer fault: the channel was occupied for the full duration
-// but nothing staged, so the chunk is re-issued after an exponential
-// backoff, up to the plan's retry budget. Retried submissions may queue
-// behind other jobs' transfers, so the LoadStart trace event (and the flash
-// read) is tied to channel occupancy (OnStart), not submission.
-func (r *runner) issueChunk(j *job, seg segment.Segment, bytes int64) {
+// issueChunk submits one parameter-chunk transfer of segment j.nextLoad
+// on j's own Transfer, whose callbacks handle its start and completion.
+// Under a fault plan the chunk may be lost to a transient transfer fault:
+// the channel was occupied for the full duration but nothing staged, so
+// the chunk is re-issued after an exponential backoff, up to the plan's
+// retry budget. Retried submissions may queue behind other jobs'
+// transfers, so the LoadStart trace event (and the flash read) is tied to
+// channel occupancy (OnStart), not submission.
+func (r *runner) issueChunk(j *job, bytes int64) {
 	j.loading = true
-	t := &platform.Transfer{
-		Bytes:    bytes,
-		Priority: j.priority(),
+	if j.transfer.OnDone == nil {
+		// One set of callbacks per job, shared by all its chunks; the
+		// segment in flight is always j.nextLoad (it advances only when
+		// the transfer completes).
+		j.transfer.Priority = j.priority()
+		j.transfer.OnStart = func() { r.onLoadStart(j) }
+		j.transfer.OnDone = func() { r.onLoadDone(j) }
 	}
-	t.OnStart = func() {
-		r.flashBytes += bytes
-		r.emit(trace.LoadStart, j, seg.Index, bytes)
-	}
-	t.OnDone = func() {
-		j.xfer = nil
-		if r.plan.TransferFaulty(j.name(), j.idx, seg.Index, j.segLoaded, j.attempt) {
-			j.attempt++
-			r.dmaRetries++
-			r.ins.dmaRetries.Add(1)
-			r.noteFault()
-			r.emit(trace.DMARetry, j, seg.Index, bytes)
-			j.retryEv = r.eng.After(r.plan.RetryBackoffNs(j.attempt), func() {
+	j.transfer.Bytes = bytes
+	r.submit(j)
+}
+
+// submit hands j's transfer to the DMA channel.
+func (r *runner) submit(j *job) {
+	j.xfer = &j.transfer
+	r.dma.Submit(j.xfer)
+}
+
+func (r *runner) onLoadStart(j *job) {
+	bytes := j.transfer.Bytes
+	r.flashBytes += bytes
+	r.emit(trace.LoadStart, j, j.rt.t.Plan.Segments[j.nextLoad].Index, bytes)
+}
+
+func (r *runner) onLoadDone(j *job) {
+	seg := &j.rt.t.Plan.Segments[j.nextLoad]
+	bytes := j.transfer.Bytes
+	j.xfer = nil
+	if r.plan.TransferFaulty(j.name(), j.idx, seg.Index, j.segLoaded, j.attempt) {
+		j.attempt++
+		r.dmaRetries++
+		r.ins.dmaRetries.Add(1)
+		r.noteFault()
+		r.emit(trace.DMARetry, j, seg.Index, bytes)
+		if j.retry == nil {
+			j.retry = func() {
 				j.retryEv = sim.Event{}
-				r.issueChunk(j, seg, bytes)
-			})
-			return
+				r.submit(j)
+			}
 		}
-		j.attempt = 0
-		r.emit(trace.LoadEnd, j, seg.Index, bytes)
-		j.loading = false
-		j.segLoaded += bytes
-		if j.segLoaded >= seg.LoadBytes {
-			j.segLoaded = 0
-			j.nextLoad++
-		}
-		r.kick()
+		j.retryEv = r.eng.After(r.plan.RetryBackoffNs(j.attempt), j.retry)
+		return
 	}
-	j.xfer = t
-	r.dma.Submit(t)
+	j.attempt = 0
+	r.emit(trace.LoadEnd, j, seg.Index, bytes)
+	j.loading = false
+	j.segLoaded += bytes
+	if j.segLoaded >= seg.LoadBytes {
+		j.segLoaded = 0
+		j.nextLoad++
+	}
+	r.kick()
 }
 
 // tryCPU dispatches the most urgent staged segment if the CPU is idle.
@@ -815,12 +884,15 @@ func (r *runner) tryCPU() {
 	r.lastRan = j
 	r.accountActivations(j, seg)
 	r.emit(trace.ComputeStart, j, seg.Index, 0)
-	r.cpu.Run(work, func() { r.onComputeDone(j, seg) })
+	r.cpu.Run(work, r.computeDoneFn)
 	// Starting a compute may open prefetch room (depth window slides only
 	// on completion, not here) — nothing further to do.
 }
 
-func (r *runner) onComputeDone(j *job, seg segment.Segment) {
+// onComputeDone completes the running job's segment j.nextCompute.
+func (r *runner) onComputeDone() {
+	j := r.running
+	seg := &j.rt.t.Plan.Segments[j.nextCompute]
 	r.running = nil
 	r.emit(trace.ComputeEnd, j, seg.Index, 0)
 	// The segment's staging buffer frees once its compute is done.

@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"rtmdm/internal/core"
 	"rtmdm/internal/cost"
+	"rtmdm/internal/fault"
 	"rtmdm/internal/models"
 	"rtmdm/internal/segment"
 	"rtmdm/internal/sim"
@@ -68,7 +70,7 @@ func TestSerialSingleTaskExactTiming(t *testing.T) {
 	tk := mkTask(p, "a", sim.Second, sim.Second, 0, 0,
 		segSpec{900, 1000}, segSpec{900, 1000})
 	s := task.NewSet(tk)
-	r, err := Run(s, p, core.SerialSegFP(), 10*sim.Millisecond)
+	r, err := runRec(s, p, core.SerialSegFP(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestRTMDMSingleTaskPipelinesLoads(t *testing.T) {
 	tk := mkTask(p, "a", sim.Second, sim.Second, 0, 0,
 		segSpec{900, 1000}, segSpec{900, 1000})
 	s := task.NewSet(tk)
-	r, err := Run(s, p, core.RTMDM(), 10*sim.Millisecond)
+	r, err := runRec(s, p, core.RTMDM(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestSegmentBoundaryPreemption(t *testing.T) {
 	high := mkTask(p, "high", sim.Second, sim.Second, 1500, 0,
 		segSpec{400, 1000})
 	s := task.NewSet(low, high)
-	r, err := Run(s, p, core.RTMDM(), 20*sim.Millisecond)
+	r, err := runRec(s, p, core.RTMDM(), 20*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestJobLevelNonPreemptionBlocksWholeJob(t *testing.T) {
 	high := mkTask(p, "high", sim.Second, sim.Second, 1500, 0,
 		segSpec{400, 1000})
 	s := task.NewSet(low, high)
-	r, err := Run(s, p, core.SerialNPFP(), 20*sim.Millisecond)
+	r, err := runRec(s, p, core.SerialNPFP(), 20*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestEDFOrdersByAbsoluteDeadline(t *testing.T) {
 	b := mkTask(p, "b", 500*sim.Millisecond, 5*sim.Microsecond, 0, 1, segSpec{100, 1000})
 	s := task.NewSet(a, b)
 
-	r, err := Run(s, p, core.RTMDMEDF(), 10*sim.Millisecond)
+	r, err := runRec(s, p, core.RTMDMEDF(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestEDFOrdersByAbsoluteDeadline(t *testing.T) {
 		t.Fatal("EDF did not favor the earlier deadline")
 	}
 
-	r, err = Run(s, p, core.RTMDM(), 10*sim.Millisecond)
+	r, err = runRec(s, p, core.RTMDM(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestBacklogExecutesJobsInOrder(t *testing.T) {
 	tk := mkTask(p, "a", 2*sim.Microsecond, 2*sim.Microsecond, 0, 0,
 		segSpec{900, 2000})
 	s := task.NewSet(tk)
-	r, err := Run(s, p, core.RTMDM(), 40*sim.Microsecond)
+	r, err := runRec(s, p, core.RTMDM(), 40*sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestZeroByteSegmentsStageInstantly(t *testing.T) {
 	tk := mkTask(p, "a", sim.Second, sim.Second, 0, 0,
 		segSpec{0, 500}, segSpec{900, 1000}, segSpec{0, 250})
 	s := task.NewSet(tk)
-	r, err := Run(s, p, core.RTMDM(), 10*sim.Millisecond)
+	r, err := runRec(s, p, core.RTMDM(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func TestDMAPriorityVsFIFOArbitration(t *testing.T) {
 	s := task.NewSet(a, b, c)
 
 	firstLoad := func(pol core.Policy) string {
-		r, err := Run(s, p, pol, 10*sim.Millisecond)
+		r, err := runRec(s, p, pol, 10*sim.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +300,7 @@ func TestDepthLimitsPrefetchDistance(t *testing.T) {
 	s := task.NewSet(tk)
 
 	maxAhead := func(pol core.Policy) int {
-		r, err := Run(s, p, pol, 10*sim.Millisecond)
+		r, err := runRec(s, p, pol, 10*sim.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,11 +354,11 @@ func TestBusContentionStretchesExecution(t *testing.T) {
 	tk := mkTask(p, "a", sim.Second, sim.Second, 0, 0,
 		segSpec{1000, 1000}, segSpec{1000, 1000})
 	s := task.NewSet(tk)
-	r, err := Run(s, p, core.RTMDM(), 10*sim.Millisecond)
+	r, err := runRec(s, p, core.RTMDM(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noC, err := Run(s, testPlat(), core.RTMDM(), 10*sim.Millisecond)
+	noC, err := runRec(s, testPlat(), core.RTMDM(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +392,7 @@ func TestSwitchCostChargedOnJobChange(t *testing.T) {
 	a := mkTask(p, "a", sim.Second, sim.Second, 0, 0, segSpec{100, 1000})
 	b := mkTask(p, "b", sim.Second, sim.Second, 0, 1, segSpec{100, 1000})
 	s := task.NewSet(a, b)
-	r, err := Run(s, p, core.RTMDM(), 10*sim.Millisecond)
+	r, err := runRec(s, p, core.RTMDM(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +413,7 @@ func TestNoSwitchCostWithinOneJob(t *testing.T) {
 	a := mkTask(p, "a", sim.Second, sim.Second, 0, 0,
 		segSpec{100, 1000}, segSpec{100, 1000})
 	s := task.NewSet(a)
-	r, err := Run(s, p, core.RTMDM(), 10*sim.Millisecond)
+	r, err := runRec(s, p, core.RTMDM(), 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +455,7 @@ func TestZooIntegrationAllPolicies(t *testing.T) {
 		if err := core.Provision(s, plat, pol); err != nil {
 			t.Fatalf("%s: %v", pol.Name, err)
 		}
-		r, err := Run(s, plat, pol, 600*sim.Millisecond)
+		r, err := runRec(s, plat, pol, 600*sim.Millisecond)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name, err)
 		}
@@ -557,11 +559,11 @@ func TestRunIsDeterministic(t *testing.T) {
 			&task.Task{Name: "b", Plan: p2, Period: 70 * sim.Millisecond, Deadline: 70 * sim.Millisecond, Priority: 1},
 		)
 	}
-	r1, err := Run(mk(), plat, core.RTMDM(), 300*sim.Millisecond)
+	r1, err := runRec(mk(), plat, core.RTMDM(), 300*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(mk(), plat, core.RTMDM(), 300*sim.Millisecond)
+	r2, err := runRec(mk(), plat, core.RTMDM(), 300*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +587,7 @@ func TestChunkedTransfersExactTiming(t *testing.T) {
 	tk := mkTask(p, "a", sim.Second, sim.Second, 0, 0, segSpec{2500, 1000})
 	s := task.NewSet(tk)
 	pol := core.RTMDMChunked(1000)
-	r, err := Run(s, p, pol, 10*sim.Millisecond)
+	r, err := runRec(s, p, pol, 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +768,7 @@ func TestDeadlineMissEventsEmitted(t *testing.T) {
 	tk := mkTask(p, "a", 3*sim.Microsecond, 2*sim.Microsecond, 0, 0,
 		segSpec{900, 2000})
 	s := task.NewSet(tk)
-	r, err := Run(s, p, core.SerialSegFP(), 30*sim.Microsecond)
+	r, err := runRec(s, p, core.SerialSegFP(), 30*sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,7 +797,7 @@ func TestCompletionAtExactDeadlineIsNotAMiss(t *testing.T) {
 	// deadline exactly 1900.
 	tk := mkTask(p, "a", 10*sim.Microsecond, 1900, 0, 0, segSpec{900, 1000})
 	s := task.NewSet(tk)
-	r, err := Run(s, p, core.RTMDM(), 30*sim.Microsecond)
+	r, err := runRec(s, p, core.RTMDM(), 30*sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -817,7 +819,7 @@ func TestReleaseJitterWindowAndDeterminism(t *testing.T) {
 	tk := mkTask(p, "a", 10*sim.Microsecond, 9*sim.Microsecond, 0, 0, segSpec{100, 100})
 	tk.Jitter = 3 * sim.Microsecond
 	run := func() []sim.Time {
-		r, err := Run(task.NewSet(tk), p, core.RTMDM(), 100*sim.Microsecond)
+		r, err := runRec(task.NewSet(tk), p, core.RTMDM(), 100*sim.Microsecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -874,7 +876,7 @@ func TestGateFreezesLowerLoadsWhileUrgentWindowFull(t *testing.T) {
 	hi := mkTask(p, "hi", 50_000, 50_000, 500, 0,
 		segSpec{500, 5000}, segSpec{500, 5000}, segSpec{500, 5000})
 	s := task.NewSet(lo, hi)
-	r, err := Run(s, p, core.RTMDM(), 50_000)
+	r, err := runRec(s, p, core.RTMDM(), 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -955,4 +957,19 @@ func TestPerTaskDepthWindows(t *testing.T) {
 	if got := r.Metrics.PerTask["solo"].MaxResponse; got != want {
 		t.Fatalf("fallback depth: response %v, want PipelineWCET(2) %v", got, want)
 	}
+}
+
+// runRec is Run with the events recorded, for tests that inspect them.
+func runRec(set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duration) (*Result, error) {
+	return runFaultsRec(set, plat, pol, horizon, nil)
+}
+
+// runFaultsRec is RunWithFaults with the events recorded.
+func runFaultsRec(set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duration, plan *fault.Plan) (*Result, error) {
+	return RunWithFaultsContext(context.Background(), set, plat, pol, horizon, plan, &trace.Trace{})
+}
+
+// runCtxRec is RunContext with the events recorded.
+func runCtxRec(ctx context.Context, set *task.Set, plat cost.Platform, pol core.Policy, horizon sim.Duration) (*Result, error) {
+	return RunWithFaultsContext(ctx, set, plat, pol, horizon, nil, &trace.Trace{})
 }

@@ -50,8 +50,8 @@ func TestRunWithNilPlanMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.Trace.Events, r2.Trace.Events) {
-		t.Error("nil-plan RunWithFaults trace differs from Run")
+	if !reflect.DeepEqual(r1, r2) {
+		t.Error("nil-plan RunWithFaults result differs from Run")
 	}
 	if r2.FaultsInjected != 0 || r2.JobsAborted != 0 || r2.DMARetries != 0 || r2.ReleasesSuppressed != 0 {
 		t.Errorf("nil plan injected: %+v", r2)
@@ -90,7 +90,7 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := RunWithFaults(mkSet(), p, pol, 20*sim.Millisecond, plan)
+			r, err := runFaultsRec(mkSet(), p, pol, 20*sim.Millisecond, plan)
 			if err != nil {
 				t.Fatalf("%s: %v", polName, err)
 			}
@@ -131,7 +131,7 @@ func TestOverrunAbortInvariants(t *testing.T) {
 	}
 	pol := core.RTMDM()
 	pol.Overrun = core.OverrunAbort
-	r, err := RunWithFaults(s, p, pol, 10*sim.Millisecond, plan)
+	r, err := runFaultsRec(s, p, pol, 10*sim.Millisecond, plan)
 	if err != nil {
 		t.Fatal(err) // Run already checked the trace invariants
 	}
@@ -229,7 +229,7 @@ func TestTransferRetryBackoffTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunWithFaults(s, p, core.RTMDM(), 10*sim.Millisecond, plan)
+	r, err := runFaultsRec(s, p, core.RTMDM(), 10*sim.Millisecond, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestOverrunSkipNextShedsReleases(t *testing.T) {
 	s := task.NewSet(mkTask(p, "a", sim.Millisecond, sim.Millisecond, 0, 0, segSpec{0, 1_500_000}))
 	pol := core.RTMDM()
 	pol.Overrun = core.OverrunSkipNext
-	r, err := RunWithFaults(s, p, pol, 10*sim.Millisecond, nil)
+	r, err := runFaultsRec(s, p, pol, 10*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,21 +29,23 @@ func NewBus(eng *sim.Engine, p cost.Platform) (*Bus, *CPU, *DMA) {
 	}
 	b := &Bus{eng: eng, c: p.Bus}
 	b.cpu = &CPU{eng: eng, bus: b}
+	b.cpu.act = sim.NewActivity(eng, 0, b.cpu.finish)
 	b.dma = &DMA{eng: eng, bus: b, mem: p.Mem}
+	b.dma.act = sim.NewActivity(eng, 0, b.dma.finish)
 	return b, b.cpu, b.dma
 }
 
 // update recomputes both devices' progress rates after any activity change.
 func (b *Bus) update() {
 	cpuBusy, dmaBusy := b.cpu.Busy(), b.dma.Busy()
-	if b.cpu.act != nil && b.cpu.act.Running() {
+	if b.cpu.act.Running() {
 		num, den := int64(1), int64(1)
 		if dmaBusy {
 			num, den = b.c.CPUNum, b.c.CPUDen
 		}
 		b.cpu.act.SetRate(num, den)
 	}
-	if b.dma.act != nil && b.dma.act.Running() {
+	if b.dma.act.Running() {
 		num, den := int64(1), int64(1)
 		if cpuBusy {
 			num, den = b.c.DMANum, b.c.DMADen
@@ -55,10 +57,12 @@ func (b *Bus) update() {
 // CPU is the single MCU core. It executes one non-preemptive work item at a
 // time; the executor layers preemption at segment boundaries above it.
 type CPU struct {
-	eng  *sim.Engine
-	bus  *Bus
-	act  *sim.Activity
-	busy bool
+	eng *sim.Engine
+	bus *Bus
+	// act is the core's one activity, re-armed for every work item.
+	act    *sim.Activity
+	busy   bool
+	onDone func()
 	// BusyNs accumulates pure work-ns executed (at unit rate), for
 	// utilization accounting.
 	BusyNs int64
@@ -70,7 +74,7 @@ func (c *CPU) Busy() bool { return c.busy }
 // RemainingWorkNs returns the work-ns left in the current item (0 when
 // idle). Wall-clock remaining is at least this (rates never exceed 1).
 func (c *CPU) RemainingWorkNs() int64 {
-	if !c.busy || c.act == nil {
+	if !c.busy {
 		return 0
 	}
 	return c.act.Remaining()
@@ -78,22 +82,21 @@ func (c *CPU) RemainingWorkNs() int64 {
 
 // Run starts a non-preemptive work item of the given duration (work-ns at
 // full rate). onDone fires in virtual time when it completes. Running while
-// busy panics: the executor must serialize.
+// busy panics: the executor must serialize. Run allocates nothing when
+// onDone is a function value the caller bound once.
+//
+//rtmdm:hotpath
 func (c *CPU) Run(workNs int64, onDone func()) {
 	if c.busy {
 		panic("platform: CPU.Run while busy")
 	}
 	if workNs < 0 {
-		panic(fmt.Sprintf("platform: negative CPU work %d", workNs))
+		negativeWork(workNs)
 	}
 	c.busy = true
 	c.BusyNs += workNs
-	c.act = sim.NewActivity(c.eng, workNs, func() {
-		c.busy = false
-		c.act = nil
-		c.bus.update()
-		onDone()
-	})
+	c.onDone = onDone
+	c.act.Reset(workNs)
 	// Start at the rate implied by current DMA activity.
 	num, den := int64(1), int64(1)
 	if c.bus.dma.Busy() {
@@ -103,19 +106,34 @@ func (c *CPU) Run(workNs int64, onDone func()) {
 	c.bus.update()
 }
 
+// negativeWork panics on a negative work item (kept out of line so Run
+// stays allocation-free).
+func negativeWork(workNs int64) {
+	panic(fmt.Sprintf("platform: negative CPU work %d", workNs))
+}
+
+// finish completes the in-flight work item.
+func (c *CPU) finish() {
+	c.busy = false
+	c.bus.update()
+	onDone := c.onDone
+	c.onDone = nil
+	onDone()
+}
+
 // Abort cancels the in-flight work item without firing its onDone: the
 // core is reclaimed immediately (fault handling: a job killed at its
 // deadline). The unexecuted remainder is refunded from BusyNs so
 // utilization accounting reflects work actually done. Returns the refunded
 // work-ns (0 when idle).
 func (c *CPU) Abort() int64 {
-	if !c.busy || c.act == nil {
+	if !c.busy {
 		return 0
 	}
 	rem := c.act.Remaining()
 	c.BusyNs -= rem
 	c.act.Pause() // banks progress and cancels the armed completion event
-	c.act = nil
+	c.onDone = nil
 	c.busy = false
 	c.bus.update()
 	return rem
@@ -146,7 +164,9 @@ type Transfer struct {
 	// Priority orders the queue under ArbPriority; smaller is more urgent.
 	Priority int
 	// OnStart fires when the transfer leaves the queue and occupies the
-	// channel; OnDone when it completes. Either may be nil.
+	// channel; OnDone when it completes. Either may be nil. A transfer may
+	// be submitted again once it has completed or been cancelled, so a
+	// requester can own one transfer and bind its callbacks once.
 	OnStart func()
 	OnDone  func()
 
@@ -196,9 +216,10 @@ type DMA struct {
 	mem     cost.MemProfile
 	queue   transferQueue
 	current *Transfer
-	act     *sim.Activity
-	seq     uint64
-	derate  func(at sim.Time, workNs int64) int64
+	// act is the channel's one activity, re-armed for every transfer.
+	act    *sim.Activity
+	seq    uint64
+	derate func(at sim.Time, workNs int64) int64
 	// BusyNs accumulates pure transfer work-ns (at unit rate).
 	BusyNs int64
 	// Completed counts finished transfers.
@@ -219,13 +240,12 @@ func (d *DMA) Current() *Transfer { return d.current }
 // killed). The unmoved remainder is refunded from BusyNs. Returns the
 // refunded work-ns (0 when idle).
 func (d *DMA) Abort() int64 {
-	if d.current == nil || d.act == nil {
+	if d.current == nil {
 		return 0
 	}
 	rem := d.act.Remaining()
 	d.BusyNs -= rem
 	d.act.Pause()
-	d.act = nil
 	d.current = nil
 	d.bus.update()
 	d.tryStart()
@@ -269,9 +289,10 @@ func (d *DMA) Submit(t *Transfer) {
 }
 
 // Cancel removes a still-queued transfer. It returns false if the transfer
-// already started (non-preemptive transfers cannot be revoked).
+// already started (non-preemptive transfers cannot be revoked), finished,
+// or was never submitted.
 func (d *DMA) Cancel(t *Transfer) bool {
-	if t == d.current || t.index < 0 {
+	if t == d.current || t.index < 0 || t.index >= len(d.queue.items) || d.queue.items[t.index] != t {
 		return false
 	}
 	heap.Remove(&d.queue, t.index)
@@ -279,6 +300,9 @@ func (d *DMA) Cancel(t *Transfer) bool {
 	return true
 }
 
+// tryStart moves the next queued transfer onto the idle channel.
+//
+//rtmdm:hotpath
 func (d *DMA) tryStart() {
 	if d.current != nil || d.queue.Len() == 0 {
 		return
@@ -295,22 +319,25 @@ func (d *DMA) tryStart() {
 	if t.OnStart != nil {
 		t.OnStart()
 	}
-	d.act = sim.NewActivity(d.eng, work, func() {
-		d.current = nil
-		d.act = nil
-		d.Completed++
-		d.bus.update()
-		if t.OnDone != nil {
-			t.OnDone()
-		}
-		d.tryStart()
-	})
+	d.act.Reset(work)
 	num, den := int64(1), int64(1)
 	if d.bus.cpu.Busy() {
 		num, den = d.bus.c.DMANum, d.bus.c.DMADen
 	}
 	d.act.Start(num, den)
 	d.bus.update()
+}
+
+// finish completes the transfer occupying the channel and starts the next.
+func (d *DMA) finish() {
+	t := d.current
+	d.current = nil
+	d.Completed++
+	d.bus.update()
+	if t.OnDone != nil {
+		t.OnDone()
+	}
+	d.tryStart()
 }
 
 // SRAM is the staging allocator for parameter buffers. It does pure

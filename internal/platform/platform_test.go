@@ -358,3 +358,48 @@ func TestDMANegativeTransferPanics(t *testing.T) {
 	}()
 	dma.Submit(&Transfer{Bytes: -1})
 }
+
+// TestWarmWorkItemsAllocateNothing pins the devices' reuse of their one
+// activity each: once the engine's slab is warm, a CPU work item and a
+// DMA transfer (overlapping, so the bus re-rates both) run to completion
+// without a single allocation, given callbacks the caller bound once.
+func TestWarmWorkItemsAllocateNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	_, cpu, dma := NewBus(eng, testPlatform())
+	var cpuDone, dmaDone int
+	onCPU := func() { cpuDone++ }
+	x := &Transfer{Bytes: 4096, OnDone: func() { dmaDone++ }}
+	item := func() {
+		cpu.Run(5000, onCPU)
+		dma.Submit(x)
+		eng.RunAll(0)
+	}
+	item() // warm the event slab
+	if allocs := testing.AllocsPerRun(100, item); allocs != 0 {
+		t.Fatalf("warm CPU work item + DMA transfer: %.0f allocs/op, want 0", allocs)
+	}
+	if cpuDone != 102 || dmaDone != 102 || cpu.Busy() || dma.Busy() {
+		t.Fatalf("items did not complete: cpu %d, dma %d", cpuDone, dmaDone)
+	}
+}
+
+// TestCancelNeverSubmittedTransfer pins Cancel's queued/not-queued
+// exactness for a reusable transfer: one never submitted, or already
+// finished, is not in the queue and must not disturb it.
+func TestCancelNeverSubmittedTransfer(t *testing.T) {
+	eng := sim.NewEngine()
+	_, _, dma := NewBus(eng, noContention())
+	head, queued, idle := &Transfer{Bytes: 100}, &Transfer{Bytes: 100}, &Transfer{Bytes: 100}
+	dma.Submit(head)
+	dma.Submit(queued)
+	if dma.Cancel(idle) {
+		t.Fatal("cancelled a transfer that was never submitted")
+	}
+	if dma.QueueLen() != 1 || !dma.Cancel(queued) || dma.QueueLen() != 0 {
+		t.Fatal("queued transfer not cancelled exactly once")
+	}
+	eng.RunAll(0)
+	if dma.Cancel(head) {
+		t.Fatal("cancelled a finished transfer")
+	}
+}

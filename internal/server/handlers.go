@@ -169,7 +169,11 @@ func simulateScenario(ctx context.Context, sc *scenario.Scenario, hash string, i
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.RunWithFaultsContext(ctx, set, plat, pol, sc.Horizon(), plan)
+	var rec *trace.Trace
+	if includeTrace {
+		rec = &trace.Trace{}
+	}
+	res, err := exec.RunWithFaultsContext(ctx, set, plat, pol, sc.Horizon(), plan, rec)
 	if err != nil {
 		return nil, err
 	}

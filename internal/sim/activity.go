@@ -17,8 +17,11 @@ type Activity struct {
 	started   Time  // when the current leg began
 	event     Event // zero when no completion is armed
 	onDone    func()
-	running   bool
-	finished  bool
+	// fire is a.complete bound once at construction, so arming a leg
+	// schedules it without allocating a method value.
+	fire     func()
+	running  bool
+	finished bool
 }
 
 // NewActivity creates an activity with the given total work (in work-ns)
@@ -28,7 +31,26 @@ func NewActivity(eng *Engine, work int64, onDone func()) *Activity {
 	if work < 0 {
 		panic(fmt.Sprintf("sim: negative activity work %d", work))
 	}
-	return &Activity{eng: eng, remaining: work, num: 1, den: 1, onDone: onDone}
+	a := &Activity{eng: eng, remaining: work, num: 1, den: 1, onDone: onDone}
+	a.fire = a.complete
+	return a
+}
+
+// Reset re-arms a paused or finished activity with fresh work at unit
+// rate, keeping its completion callback: a device that owns one activity
+// reuses it for every work item instead of allocating one per item. The
+// activity does not progress until Start. Resetting a running activity
+// panics.
+func (a *Activity) Reset(work int64) {
+	if a.running {
+		panic("sim: reset of running activity")
+	}
+	if work < 0 {
+		panic(fmt.Sprintf("sim: negative activity work %d", work))
+	}
+	a.remaining, a.num, a.den = work, 1, 1
+	a.finished = false
+	a.event = Event{}
 }
 
 // Remaining returns the work-ns left, folding in progress on the current leg.
@@ -104,13 +126,15 @@ func (a *Activity) SetRate(num, den int64) {
 }
 
 // arm schedules the completion event for the current leg.
+//
+//rtmdm:hotpath
 func (a *Activity) arm() {
 	if a.num == 0 {
 		return // stalled: no completion until rate changes
 	}
 	// ceil(remaining * den / num) virtual ns to finish.
 	d := (a.remaining*a.den + a.num - 1) / a.num
-	a.event = a.eng.After(Duration(d), a.complete)
+	a.event = a.eng.After(Duration(d), a.fire)
 }
 
 func (a *Activity) complete() {

@@ -249,6 +249,38 @@ func TestActivityPauseResume(t *testing.T) {
 	}
 }
 
+// TestActivityResetReuses pins Reset: a finished or paused activity takes
+// fresh work at unit rate and completes through its original callback,
+// and resetting a running one panics.
+func TestActivityResetReuses(t *testing.T) {
+	e := NewEngine()
+	var done []Time
+	a := NewActivity(e, 100, func() { done = append(done, e.Now()) })
+	a.Start(1, 2)
+	e.RunAll(0) // finishes at 200 (rate 1/2)
+	a.Reset(50)
+	a.Start(1, 1)
+	e.Schedule(210, func() { a.Pause() })
+	e.RunAll(0) // paused with 40 left
+	a.Reset(30)
+	if a.Finished() || a.Remaining() != 30 {
+		t.Fatalf("after reset: finished %v, remaining %d", a.Finished(), a.Remaining())
+	}
+	a.Start(1, 1)
+	e.RunAll(0)
+	if len(done) != 2 || done[0] != 200 || done[1] != 240 {
+		t.Fatalf("completions at %v, want [200 240]", done)
+	}
+	a.Reset(10)
+	a.Start(1, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reset of a running activity did not panic")
+		}
+	}()
+	a.Reset(5)
+}
+
 func TestActivityZeroRateStalls(t *testing.T) {
 	e := NewEngine()
 	done := false

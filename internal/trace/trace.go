@@ -1,7 +1,9 @@
-// Package trace records what the virtual-time executor did — releases,
-// parameter loads, segment executions, completions, deadline misses — and
-// derives metrics and invariant checks from the record. Every scheduling
-// claim in the evaluation is auditable against these traces.
+// Package trace describes what the virtual-time executor did — releases,
+// parameter loads, segment executions, completions, deadline misses — as
+// a stream of events, checks the stream's invariants and derives metrics
+// from it as it happens (Checker), and records it when a caller asks for
+// the events (Trace). Every scheduling claim in the evaluation is
+// auditable against these checks.
 package trace
 
 import (
@@ -197,76 +199,15 @@ func (m *Metrics) AnyMiss() bool {
 
 // Analyze computes metrics from the trace. A job counts as a miss if a
 // DeadlineMiss event was recorded for it, or if it remained unfinished at
-// the horizon with its absolute deadline inside the horizon.
+// the horizon with its absolute deadline inside the horizon. It replays
+// the events through the accumulator the executor streams into (see
+// Checker), keeping every job so any event sequence is measured.
 func (tr *Trace) Analyze(tasks []TaskInfo, horizon sim.Time) *Metrics {
-	m := &Metrics{Horizon: horizon, PerTask: map[string]*TaskMetrics{}}
-	info := map[string]TaskInfo{}
-	for _, ti := range tasks {
-		m.PerTask[ti.Name] = &TaskMetrics{MaxLateness: -1 << 62}
-		info[ti.Name] = ti
-	}
-	type jobKey struct {
-		task string
-		job  int
-	}
-	released := map[jobKey]sim.Time{}
-	completed := map[jobKey]bool{}
-	missed := map[jobKey]bool{}
+	c := newChecker(tasks, horizon)
 	for _, e := range tr.Events {
-		tm, ok := m.PerTask[e.Task]
-		if !ok {
-			continue
-		}
-		k := jobKey{e.Task, e.Job}
-		switch e.Kind {
-		case Release:
-			tm.Released++
-			released[k] = e.At
-		case JobDone:
-			tm.Completed++
-			completed[k] = true
-			rel, ok := released[k]
-			if !ok {
-				continue
-			}
-			resp := e.At - rel
-			tm.TotalResponse += resp
-			tm.Responses = append(tm.Responses, resp)
-			if resp > tm.MaxResponse {
-				tm.MaxResponse = resp
-			}
-			lat := resp - info[e.Task].Deadline
-			if lat > tm.MaxLateness {
-				tm.MaxLateness = lat
-			}
-			// Late completion is a deadline miss even without an explicit
-			// DeadlineMiss event.
-			if lat > 0 && !missed[k] {
-				missed[k] = true
-				tm.Misses++
-			}
-		case DeadlineMiss:
-			if !missed[k] {
-				missed[k] = true
-				tm.Misses++
-			}
-		case Abort:
-			tm.Aborted++
-		}
+		c.Observe(e)
 	}
-	// Unfinished jobs whose deadline expired inside the horizon but that
-	// recorded no explicit miss event still count as misses.
-	for k, rel := range released {
-		if completed[k] || missed[k] {
-			continue
-		}
-		tm := m.PerTask[k.task]
-		tm.Unfinished++
-		if rel+info[k.task].Deadline <= horizon {
-			tm.Misses++
-		}
-	}
-	return m
+	return c.Metrics()
 }
 
 // CheckInvariants verifies the physical consistency of the trace (PT-3):

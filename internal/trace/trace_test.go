@@ -129,7 +129,7 @@ func TestInvariantCPUOverlapDetected(t *testing.T) {
 	// Zero-byte loads are instantaneous: both may "overlap" legally.
 	tr.Add(Event{At: 0, Kind: ComputeStart, Task: "a", Job: 0, Segment: 0})
 	tr.Add(Event{At: 1, Kind: ComputeStart, Task: "b", Job: 0, Segment: 0})
-	err := tr.CheckInvariants(infos)
+	err := checkBoth(t, tr, infos)
 	if err == nil || !strings.Contains(err.Error(), "CPU overlap") {
 		t.Fatalf("want CPU overlap error, got %v", err)
 	}
@@ -141,7 +141,7 @@ func TestInvariantDMAOverlapDetected(t *testing.T) {
 	tr.Add(Event{At: 0, Kind: Release, Task: "a", Job: 0, Segment: -1})
 	tr.Add(Event{At: 0, Kind: LoadStart, Task: "a", Job: 0, Segment: 0, Bytes: 10})
 	tr.Add(Event{At: 1, Kind: LoadStart, Task: "a", Job: 0, Segment: 1, Bytes: 10})
-	err := tr.CheckInvariants(infos)
+	err := checkBoth(t, tr, infos)
 	if err == nil || !strings.Contains(err.Error(), "DMA overlap") {
 		t.Fatalf("want DMA overlap error, got %v", err)
 	}
@@ -152,7 +152,7 @@ func TestInvariantComputeBeforeLoadDetected(t *testing.T) {
 	infos := []TaskInfo{ti("a", 100, 100, 1)}
 	tr.Add(Event{At: 0, Kind: Release, Task: "a", Job: 0, Segment: -1})
 	tr.Add(Event{At: 0, Kind: ComputeStart, Task: "a", Job: 0, Segment: 0})
-	err := tr.CheckInvariants(infos)
+	err := checkBoth(t, tr, infos)
 	if err == nil || !strings.Contains(err.Error(), "before its load") {
 		t.Fatalf("want load-before-compute error, got %v", err)
 	}
@@ -165,7 +165,7 @@ func TestInvariantSegmentOrderDetected(t *testing.T) {
 	tr.Add(Event{At: 0, Kind: LoadStart, Task: "a", Job: 0, Segment: 1})
 	tr.Add(Event{At: 1, Kind: LoadEnd, Task: "a", Job: 0, Segment: 1})
 	tr.Add(Event{At: 1, Kind: ComputeStart, Task: "a", Job: 0, Segment: 1})
-	err := tr.CheckInvariants(infos)
+	err := checkBoth(t, tr, infos)
 	if err == nil || !strings.Contains(err.Error(), "first computed segment") {
 		t.Fatalf("want segment order error, got %v", err)
 	}
@@ -175,7 +175,7 @@ func TestInvariantNonPeriodicReleaseDetected(t *testing.T) {
 	tr := &Trace{}
 	infos := []TaskInfo{ti("a", 100, 100, 1)}
 	tr.Add(Event{At: 3, Kind: Release, Task: "a", Job: 0, Segment: -1})
-	err := tr.CheckInvariants(infos)
+	err := checkBoth(t, tr, infos)
 	if err == nil || !strings.Contains(err.Error(), "released at") {
 		t.Fatalf("want periodic release error, got %v", err)
 	}
@@ -190,7 +190,7 @@ func TestInvariantJobDoneMustMatchLastSegment(t *testing.T) {
 	tr.Add(Event{At: 1, Kind: ComputeStart, Task: "a", Job: 0, Segment: 0})
 	tr.Add(Event{At: 2, Kind: ComputeEnd, Task: "a", Job: 0, Segment: 0})
 	tr.Add(Event{At: 2, Kind: JobDone, Task: "a", Job: 0, Segment: -1})
-	err := tr.CheckInvariants(infos)
+	err := checkVerdict(t, tr, infos)
 	if err == nil || !strings.Contains(err.Error(), "job-done") {
 		t.Fatalf("want job-done mismatch error, got %v", err)
 	}
@@ -293,13 +293,13 @@ func TestInvariantMissPlacementChecked(t *testing.T) {
 	tr := &Trace{}
 	tr.Add(Event{At: 0, Kind: Release, Task: "a", Job: 0, Segment: -1})
 	tr.Add(Event{At: 49, Kind: DeadlineMiss, Task: "a", Job: 0, Segment: -1})
-	if err := tr.CheckInvariants(infos); err == nil || !strings.Contains(err.Error(), "absolute deadline") {
+	if err := checkVerdict(t, tr, infos); err == nil || !strings.Contains(err.Error(), "absolute deadline") {
 		t.Fatalf("misplaced miss accepted: %v", err)
 	}
 	// Miss without release.
 	tr2 := &Trace{}
 	tr2.Add(Event{At: 50, Kind: DeadlineMiss, Task: "a", Job: 0, Segment: -1})
-	if err := tr2.CheckInvariants(infos); err == nil || !strings.Contains(err.Error(), "without a release") {
+	if err := checkVerdict(t, tr2, infos); err == nil || !strings.Contains(err.Error(), "without a release") {
 		t.Fatalf("orphan miss accepted: %v", err)
 	}
 	// Miss after completion.
@@ -311,7 +311,7 @@ func TestInvariantMissPlacementChecked(t *testing.T) {
 	tr3.Add(Event{At: 10, Kind: ComputeEnd, Task: "a", Job: 0, Segment: 0})
 	tr3.Add(Event{At: 10, Kind: JobDone, Task: "a", Job: 0, Segment: -1})
 	tr3.Add(Event{At: 50, Kind: DeadlineMiss, Task: "a", Job: 0, Segment: -1})
-	if err := tr3.CheckInvariants(infos); err == nil || !strings.Contains(err.Error(), "after the job completed") {
+	if err := checkVerdict(t, tr3, infos); err == nil || !strings.Contains(err.Error(), "after the job completed") {
 		t.Fatalf("post-completion miss accepted: %v", err)
 	}
 }
@@ -321,11 +321,11 @@ func TestInvariantJitteredReleaseWindow(t *testing.T) {
 	tr := &Trace{}
 	tr.Add(Event{At: 15, Kind: Release, Task: "a", Job: 0, Segment: -1})  // within [0, 20]
 	tr.Add(Event{At: 105, Kind: Release, Task: "a", Job: 1, Segment: -1}) // within [100, 120]
-	if err := tr.CheckInvariants(infos); err != nil {
+	if err := checkVerdict(t, tr, infos); err != nil {
 		t.Fatal(err)
 	}
 	tr.Add(Event{At: 230, Kind: Release, Task: "a", Job: 2, Segment: -1}) // outside [200, 220]
-	if err := tr.CheckInvariants(infos); err == nil {
+	if err := checkVerdict(t, tr, infos); err == nil {
 		t.Fatal("out-of-window release accepted")
 	}
 }

@@ -30,6 +30,7 @@
 package rtmdm
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -261,9 +262,9 @@ func (s *System) Build() (*TaskSet, error) {
 
 // Simulate runs the task set on the platform under the policy in virtual
 // time until the horizon, returning the full trace and metrics. The trace
-// is invariant-checked before return.
+// is invariant-checked as it is produced.
 func Simulate(set *TaskSet, plat Platform, pol Policy, horizon Duration) (*Result, error) {
-	return exec.Run(set, plat, pol, horizon)
+	return SimulateWithFaults(set, plat, pol, horizon, nil)
 }
 
 // NewFaultPlan compiles a fault configuration into an injection plan for
@@ -278,7 +279,7 @@ func NewFaultPlan(cfg FaultConfig, horizon Duration) (*FaultPlan, error) {
 // (nil plan = nominal run, identical to Simulate). Overrun handling follows
 // pol.Overrun.
 func SimulateWithFaults(set *TaskSet, plat Platform, pol Policy, horizon Duration, plan *FaultPlan) (*Result, error) {
-	return exec.RunWithFaults(set, plat, pol, horizon, plan)
+	return exec.RunWithFaultsContext(context.Background(), set, plat, pol, horizon, plan, &trace.Trace{})
 }
 
 // Analyze applies the schedulability test matching the policy. It returns
