@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify vet lint race fuzz bench golden smoke cluster-smoke corpus-smoke loc
+.PHONY: verify vet lint race fuzz bench bench-build golden smoke cluster-smoke corpus-smoke loc
 
 # Tier-1: build + full test suite.
 verify:
@@ -36,14 +36,16 @@ race: vet
 
 # Fuzz smoke: short coverage-guided runs of the scenario parser/builder,
 # the canonical-hash round trip, the incremental-vs-cold analysis
-# differential, and the streaming trace checker against the post-hoc
-# CheckInvariants (the fuzz engine takes one -fuzz target at a time;
+# differential, the streaming trace checker against the post-hoc
+# CheckInvariants, and the cluster snapshot decoder's re-encode round
+# trip (the fuzz engine takes one -fuzz target at a time;
 # FuzzParse also drives Build and FaultPlan on every accepted input).
 fuzz:
 	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^FuzzCanonicalHash$$' -fuzz='^FuzzCanonicalHash$$' -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^FuzzIncrementalRTA$$' -fuzz='^FuzzIncrementalRTA$$' -fuzztime=10s ./internal/analysis
 	$(GO) test -run='^FuzzStreamMatchesPostHoc$$' -fuzz='^FuzzStreamMatchesPostHoc$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^FuzzDecodeSnapshot$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/cluster
 
 # Non-test Go line count: every .go file except _test.go files, the
 # benchmark module under perfbench/ and its build cache under .bench_build/
@@ -55,6 +57,12 @@ loc:
 # The load-bearing benchmarks (compare with benchstat; -count=5 minimum).
 bench:
 	$(GO) test -bench 'ExpF4|ExpF5|SimulateCaseStudy' -benchmem -count=5 -run '^$$' .
+
+# Compile the benchmark module under perfbench/ (its own go.mod, so
+# `go build ./...` never reaches it) with the environment perfbench/run.py
+# builds it under, so a symbol it imports cannot vanish unnoticed.
+bench-build:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=mod GOPROXY=off $(GO) build -o /dev/null .
 
 # Byte-identity smoke: quick tables to stdout for diffing against a baseline.
 golden:

@@ -12,7 +12,7 @@
 //	    [-retry-backoff 50ms] [-fail-threshold 3] [-probe-interval 1s]
 //	    [-max-inflight 16]
 //	    [-tenants gold=3,free=1] [-tenant-budget 64]
-//	    [-request-budget 45s] [-hedge-delay 0] [-degraded-mode conservative-deny]
+//	    [-request-budget 45s]
 //
 // Endpoints:
 //
@@ -58,10 +58,7 @@ func main() {
 		tenants       = flag.String("tenants", "", "tenant weights name=w,... (empty disables quotas)")
 		tenantBudget  = flag.Int("tenant-budget", 64, "global in-flight budget split by tenant weights")
 		requestBudget = flag.Duration("request-budget", 45*time.Second, "end-to-end deadline per proxied request (negative disables)")
-		hedgeDelay    = flag.Duration("hedge-delay", 0, "hedge reads to the next ring owner after this delay (0 disables)")
-		degradedMode  = flag.String("degraded-mode", cluster.DegradedConservativeDeny,
-			"policy for requests caught behind a migration: conservative-deny or fail-fast")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "shutdown drain deadline")
+		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "shutdown drain deadline")
 	)
 	flag.Parse()
 
@@ -91,8 +88,6 @@ func main() {
 		TenantWeights: weights,
 		TenantBudget:  *tenantBudget,
 		RequestBudget: *requestBudget,
-		HedgeDelay:    *hedgeDelay,
-		DegradedMode:  *degradedMode,
 		Registry:      reg,
 	})
 	if err != nil {

@@ -27,20 +27,11 @@
 // reason, and a directive with an empty or missing reason fails the
 // audit.
 //
-// The command is also usable as a vet tool:
-//
-//	go vet -vettool=$(command -v rtmdm-lint) ./...
-//
-// in which case it speaks the vet driver protocol (-V=full handshake,
-// JSON config file) and persists each package's facts in its .vetx
-// file, reading imports' facts back from theirs.
-//
 // Exit status: 0 when clean, 1 on findings, audit failures, or load
 // errors.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -92,34 +83,8 @@ func run() int {
 	list := flag.Bool("list", false, "print the analyzer catalogue and exit")
 	format := flag.String("format", "text", "findings encoding: text, json, or sarif")
 	suppressions := flag.Bool("suppressions", false, "audit //lint:allow directives instead of linting")
-	vFlag := flag.String("V", "", "vet driver handshake (-V=full)")
-	flagsQuery := flag.Bool("flags", false, "vet driver flag query (prints an empty set)")
 	flag.Parse()
 
-	if *vFlag != "" {
-		// go vet's tool-ID handshake: the go command derives the tool's
-		// build ID from this line and requires a buildID=<hex> field, so
-		// hash the executable the way x/tools' analysisflags does.
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtmdm-lint:", err)
-			return 1
-		}
-		data, err := os.ReadFile(exe)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtmdm-lint:", err)
-			return 1
-		}
-		fmt.Printf("%s version devel comments-go-here buildID=%02x\n",
-			filepath.Base(exe), sha256.Sum256(data))
-		return 0
-	}
-	if *flagsQuery {
-		// The vet driver's flag-definition query: a JSON array; this
-		// tool exposes no per-analyzer flags.
-		fmt.Println("[]")
-		return 0
-	}
 	if *list {
 		for _, a := range lint.All() {
 			fmt.Printf("%-14s %s\n", a.Name, firstLine(a.Doc))
@@ -131,9 +96,6 @@ func run() int {
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetTool(args[0])
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -181,7 +143,7 @@ func runStandalone(args []string, format string) int {
 		return 1
 	}
 
-	store := lint.NewFactStore(lint.All())
+	store := lint.NewFactStore()
 	var findings []finding
 	for _, arg := range args {
 		switch {

@@ -3,7 +3,6 @@ package main
 import (
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -158,61 +157,5 @@ func TestSuppressionAudit(t *testing.T) {
 	if len(lines) != auditedSuppressions {
 		t.Errorf("audit lists %d suppressions, want %d; update the pin when adding a reviewed //lint:allow\n%s",
 			len(lines), auditedSuppressions, out)
-	}
-}
-
-// TestVetToolProtocol drives the real vet driver protocol end to end:
-// go vet invokes the built binary with -V=full, per-package config
-// files, and .vetx fact files. The temp module's spawn package goes a
-// forever-looping worker from its pump package, so the finding only
-// appears if the NonTerminatingFact made the trip through pump's
-// VetxOutput into spawn's PackageVetx.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	tool := filepath.Join(t.TempDir(), "rtmdm-lint")
-	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building vettool: %v\n%s", err, out)
-	}
-
-	mod := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(mod, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module vetproto\n\ngo 1.24\n")
-	write("pump/pump.go", `package pump
-
-// Forever loops with no termination path.
-func Forever(ch chan int) {
-	for {
-		ch <- 1
-	}
-}
-`)
-	write("spawn/spawn.go", `package spawn
-
-import "vetproto/pump"
-
-// Go spawns the upstream worker; only cross-package facts can tell.
-func Go(ch chan int) {
-	go pump.Forever(ch)
-}
-`)
-	cmd := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	cmd.Dir = mod
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed, want goroleak finding; output:\n%s", out)
-	}
-	if !strings.Contains(string(out), "[goroleak]") || !strings.Contains(string(out), "pump.Forever") {
-		t.Errorf("vet output missing the cross-package goroleak finding:\n%s", out)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"rtmdm/internal/cluster"
+	"rtmdm/internal/core"
 )
 
 // clusterCfg collects the -cluster* flags.
@@ -46,27 +47,17 @@ type clusterCfg struct {
 // gateway's per-shard fan-out must absorb without starving cold nodes.
 const hotBoost = 4
 
-// cmix is the splitmix64 finalizer (same mixer as internal/fault).
-func cmix(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // cdraw hashes one decision point (seed, domain string, two indices)
 // into a uniform uint64, mirroring internal/fault's draw: every random
 // choice is an independent hash of its coordinates, so concurrent
 // workers never contend for — or reorder — a shared random stream.
 func cdraw(seed int64, domain string, a, b int64) uint64 {
-	h := cmix(uint64(seed)*0x9e3779b97f4a7c15 + 0x636c7573746572) // "cluster"
+	h := core.Mix64(uint64(seed)*0x9e3779b97f4a7c15 + 0x636c7573746572) // "cluster"
 	for i := 0; i < len(domain); i++ {
 		h = (h ^ uint64(domain[i])) * 1099511628211 // FNV-1a step
 	}
-	h = cmix(h ^ uint64(a)*0xa24baed4963ee407)
-	h = cmix(h ^ uint64(b)*0x9fb21c651e98df25)
+	h = core.Mix64(h ^ uint64(a)*0xa24baed4963ee407)
+	h = core.Mix64(h ^ uint64(b)*0x9fb21c651e98df25)
 	return h
 }
 
@@ -399,7 +390,7 @@ func startChaos(cfg clusterCfg) (stop func(), kills *atomic.Int64) {
 			if cunit(h) >= cfg.chaosRate {
 				continue
 			}
-			victim := int(cmix(h) % uint64(cfg.shards))
+			victim := int(core.Mix64(h) % uint64(cfg.shards))
 			cmdline := strings.ReplaceAll(cfg.chaosCmd, "{shard}", fmt.Sprint(victim))
 			out, err := exec.Command("sh", "-c", cmdline).CombinedOutput()
 			if err != nil {

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"rtmdm/internal/core"
 )
 
 // ChaosPartition is one asymmetric partition window: while a host's
@@ -156,29 +157,18 @@ func parsePartition(v string) (ChaosPartition, error) {
 	return p, nil
 }
 
-// chaosMix is the splitmix64 finalizer — the same bit mixer
-// internal/fault and loadgen's cluster mode use for hash decisions.
-func chaosMix(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // chaosDraw hashes one decision coordinate (seed, class, host, attempt)
 // to a uniform uint64. Each fault class gets an independent draw so
 // e.g. enabling latency never shifts which attempts drop.
 func chaosDraw(seed int64, class, host string, attempt int64) uint64 {
-	h := chaosMix(uint64(seed) ^ 0x9e3779b97f4a7c15)
+	h := core.Mix64(uint64(seed) ^ 0x9e3779b97f4a7c15)
 	for _, s := range []string{class, host} {
 		for _, b := range []byte(s) {
-			h = chaosMix(h ^ uint64(b))
+			h = core.Mix64(h ^ uint64(b))
 		}
-		h = chaosMix(h ^ 0xff)
+		h = core.Mix64(h ^ 0xff)
 	}
-	return chaosMix(h ^ uint64(attempt))
+	return core.Mix64(h ^ uint64(attempt))
 }
 
 // chaosUnit maps a draw into [0, 1).
@@ -346,12 +336,4 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp.ContentLength = int64(len(body))
 	resp.Header.Del("Content-Length")
 	return resp, nil
-}
-
-// ChaosClasses lists the fault classes a transport can inject, sorted —
-// report vocabulary for loadgen's JSON output.
-func ChaosClasses() []string {
-	cs := []string{"partition-out", "partition-in", "drop-out", "drop-in", "latency", "truncate", "corrupt"}
-	sort.Strings(cs)
-	return cs
 }

@@ -32,19 +32,6 @@ const ShardHeader = "X-Rtmdm-Shard"
 // metrics.
 const EpochHeader = "X-Rtmdm-Epoch"
 
-// Degraded-mode policies for requests whose target node is mid-handoff
-// or whose shard is unreachable during a migration window.
-const (
-	// DegradedConservativeDeny parks the request until its node finishes
-	// moving (or the client's deadline fires): no admission is ever
-	// decided against state that is in transit. This is the default — the
-	// admission service's safety story is "never answer from stale state".
-	DegradedConservativeDeny = "conservative-deny"
-	// DegradedFailFast answers 503 immediately so latency-sensitive
-	// callers can fail over themselves.
-	DegradedFailFast = "fail-fast"
-)
-
 // Config sizes the gateway. The zero value plus a shard list is usable:
 // every other field has a production default applied by NewGateway.
 type Config struct {
@@ -83,15 +70,6 @@ type Config struct {
 	// covering migration waits and every retry attempt
 	// (default 45s; negative disables).
 	RequestBudget time.Duration
-	// HedgeDelay, when positive, issues one hedged attempt for the
-	// read-only routes (/v1/analyze, /v1/simulate) against the next ring
-	// owner if the primary has not answered within the delay — sound
-	// because the engine is deterministic, so any shard computes the
-	// same answer. 0 disables hedging (default).
-	HedgeDelay time.Duration
-	// DegradedMode picks the policy for requests caught behind a
-	// migration: DegradedConservativeDeny (default) or DegradedFailFast.
-	DegradedMode string
 	// Registry receives the gateway.* metric family; nil disables
 	// instrumentation.
 	Registry *metrics.Registry
@@ -135,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestBudget < 0 {
 		c.RequestBudget = 0
-	}
-	if c.DegradedMode == "" {
-		c.DegradedMode = DegradedConservativeDeny
 	}
 	return c
 }
@@ -298,10 +273,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: gateway needs at least one shard URL")
-	}
-	if cfg.DegradedMode != DegradedConservativeDeny && cfg.DegradedMode != DegradedFailFast {
-		return nil, fmt.Errorf("cluster: unknown degraded mode %q (want %s or %s)",
-			cfg.DegradedMode, DegradedConservativeDeny, DegradedFailFast)
 	}
 	var quotas *Quotas
 	var err error
@@ -572,19 +543,17 @@ type admitCall struct {
 	release func()
 }
 
-// Routing errors placeAdmit can return.
-var (
-	errMigrating    = fmt.Errorf("cluster: node is mid-handoff; retry shortly")
-	errShuttingDown = fmt.Errorf("cluster: gateway shutting down")
-)
+// errShuttingDown is the routing error placeAdmit returns once the
+// gateway's base context is cancelled.
+var errShuttingDown = fmt.Errorf("cluster: gateway shutting down")
 
 // placeAdmit routes cl to its node's owning shard and starts its
 // forward, honoring an in-flight migration: nodes whose owner is
 // unchanged go out immediately (non-moving nodes never stall); nodes
-// mid-handoff park until their state lands on the new owner
-// (conservative-deny) or fail fast, per Config.DegradedMode. The forward
-// is counted in flight under routeMu's read lock so the migration
-// barrier can never miss it.
+// mid-handoff park until their state lands on the new owner or the
+// client's deadline fires, so no admission is ever decided against state
+// in transit. The forward is counted in flight under routeMu's read lock
+// so the migration barrier can never miss it.
 func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shard, error) {
 	for {
 		g.routeMu.RLock()
@@ -619,9 +588,6 @@ func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shar
 		}
 		g.routeMu.RUnlock()
 
-		if g.cfg.DegradedMode == DegradedFailFast {
-			return nil, nil, errMigrating
-		}
 		var movedCh chan struct{} // nil (blocks forever) when the node has no handoff entry
 		if mn != nil {
 			movedCh = mn.moved
@@ -692,8 +658,7 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 // owning the request's canonical scenario hash, giving every spelling of
 // one deployment a home shard and therefore one result cache to hit.
 // Bodies whose scenario cannot even be parsed still route (by raw-body
-// hash) so the owning shard produces the authoritative 400. Reads may
-// hedge one attempt to the next ring owner (Config.HedgeDelay).
+// hash) so the owning shard produces the authoritative 400.
 func (g *Gateway) proxyByScenario(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
@@ -727,77 +692,9 @@ func (g *Gateway) proxyByScenario(path string) http.HandlerFunc {
 		g.routeMu.RUnlock()
 		ctx, cancel := g.requestCtx(r)
 		defer cancel()
-		owners := lay.ring.Owners(key, 2)
-		primary := lay.shards[owners[0]]
-		var alt *shard
-		if len(owners) > 1 {
-			alt = lay.shards[owners[1]]
-		}
-		sh, res, err := g.forwardHedged(ctx, path, body, primary, alt)
+		sh := lay.shards[lay.ring.Shard(key)]
+		res, err := sh.forward(ctx, path, body)
 		g.writeProxied(w, lay, sh, res, err)
-	}
-}
-
-// forwardHedged forwards to primary, and — when hedging is enabled and
-// a distinct alt owner exists — issues one hedged attempt if primary is
-// slow (HedgeDelay) or fails outright. First conclusive response wins;
-// determinism makes the two answers interchangeable.
-func (g *Gateway) forwardHedged(ctx context.Context, path string, body []byte, primary, alt *shard) (*shard, *proxyResult, error) {
-	if g.cfg.HedgeDelay <= 0 || alt == nil || alt == primary {
-		res, err := primary.forward(ctx, path, body)
-		return primary, res, err
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		sh  *shard
-		res *proxyResult
-		err error
-	}
-	ch := make(chan outcome, 2)
-	launch := func(sh *shard) {
-		go func() {
-			res, err := sh.forward(hctx, path, body)
-			ch <- outcome{sh, res, err}
-		}()
-	}
-	launch(primary)
-	timer := time.NewTimer(g.cfg.HedgeDelay)
-	defer timer.Stop()
-	outstanding, hedged := 1, false
-	var firstSh *shard
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			outstanding--
-			if o.err == nil {
-				return o.sh, o.res, nil
-			}
-			if firstErr == nil {
-				firstSh, firstErr = o.sh, o.err
-			}
-			if !hedged {
-				// Primary failed before the hedge timer: fail over now.
-				hedged = true
-				g.met.hedged.Inc()
-				launch(alt)
-				outstanding++
-				continue
-			}
-			if outstanding == 0 {
-				return firstSh, nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				g.met.hedged.Inc()
-				launch(alt)
-				outstanding++
-			}
-		case <-ctx.Done():
-			return primary, nil, ctx.Err()
-		}
 	}
 }
 

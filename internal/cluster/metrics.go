@@ -73,7 +73,6 @@ type GatewayMetrics struct {
 	quotaRej     *metrics.Counter
 	forwarded    *metrics.Counter
 	shardCount   *metrics.Gauge
-	hedged       *metrics.Counter
 	epoch        *metrics.Gauge
 	reshards     *metrics.Counter
 	reshardFails *metrics.Counter
@@ -104,7 +103,6 @@ func RegisterMetrics(r *metrics.Registry) *GatewayMetrics {
 		quotaRej:   r.Counter("gateway.quota_rejected", "requests", "requests refused with 429 because the tenant was at its weighted in-flight cap"),
 		forwarded:  r.Counter("gateway.admit_forwarded", "requests", "admission requests forwarded to their node's owning shard"),
 		shardCount: r.Gauge("gateway.shards", "shards", "shards in the routing ring"),
-		hedged:     r.Counter("gateway.hedged_requests", "requests", "read requests that issued a second attempt to the next ring owner (hedge timer or failover)"),
 		epoch:      r.Gauge("gateway.reshard_epoch", "epoch", "current ring epoch (bumps once per completed or aborted reshard)"),
 		reshards:   r.Counter("gateway.reshard_total", "migrations", "live reshard migrations started via POST /v1/reshard"),
 		reshardFails: r.Counter("gateway.reshard_failed", "migrations",

@@ -86,28 +86,3 @@ func (r *Ring) Shard(key string) int {
 	}
 	return r.points[i].shard
 }
-
-// Owners returns the first n distinct shards walking clockwise from the
-// key's hash — the primary owner first, then the successors a hedged or
-// failed-over request may try. Owners(key, 1)[0] == Shard(key); n is
-// capped at the shard count.
-func (r *Ring) Owners(key string, n int) []int {
-	if n > r.shards {
-		n = r.shards
-	}
-	if n <= 0 {
-		return nil
-	}
-	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, n)
-	seen := make(map[int]bool, n)
-	for k := 0; k < len(r.points) && len(out) < n; k++ {
-		s := r.points[(i+k)%len(r.points)].shard
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}

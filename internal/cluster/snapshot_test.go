@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,6 +142,46 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		_, err := DecodeSnapshot(bytes.NewReader(bad))
 		if err == nil || !strings.Contains(err.Error(), "corrupt or truncated") {
 			t.Fatalf("want a checksum diagnosis, got %v", err)
+		}
+	})
+}
+
+// FuzzDecodeSnapshot: DecodeSnapshot never panics, and every snapshot it
+// accepts re-encodes to bytes that decode to an equal snapshot and
+// re-encode identically — a restored shard can always re-save exactly
+// the state it loaded.
+func FuzzDecodeSnapshot(f *testing.F) {
+	var seed bytes.Buffer
+	snap, err := NewSnapshot("shard-0", testNodes())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := snap.Encode(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := got.Encode(&first); err != nil {
+			t.Fatalf("re-encode accepted snapshot: %v", err)
+		}
+		again, err := DecodeSnapshot(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v\n%s", err, first.Bytes())
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("round trip changed the snapshot:\n%+v\n%+v", got, again)
+		}
+		var second bytes.Buffer
+		if err := again.Encode(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding is not stable:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
 }

@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 
+	"rtmdm/internal/core"
 	"rtmdm/internal/cost"
 	"rtmdm/internal/fault"
 	"rtmdm/internal/scenario"
@@ -29,16 +30,6 @@ const (
 	axisWorkloadSeed
 	axisFaultSeed
 )
-
-// mix64 is the splitmix64 finalizer (same constants as internal/fault).
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
 
 // unit maps a hash to a uniform float64 in [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
@@ -151,9 +142,9 @@ func (g *Generator) Count() int { return g.spec.Count }
 
 // draw hashes one decision coordinate into a uniform uint64.
 func (g *Generator) draw(axis uint64, index int, sub int64) uint64 {
-	h := g.seed ^ mix64(axis*0xa24baed4963ee407)
-	h = mix64(h ^ uint64(index)*0x9fb21c651e98df25)
-	return mix64(h ^ uint64(sub)*0xe7037ed1a0b428db)
+	h := g.seed ^ core.Mix64(axis*0xa24baed4963ee407)
+	h = core.Mix64(h ^ uint64(index)*0x9fb21c651e98df25)
+	return core.Mix64(h ^ uint64(sub)*0xe7037ed1a0b428db)
 }
 
 // pick selects list[h % len] — axis lists act as weights.

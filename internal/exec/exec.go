@@ -475,12 +475,7 @@ func releaseJitter(name string, k int, max sim.Duration) sim.Duration {
 		h = (h ^ uint64(c)) * 1099511628211
 	}
 	h ^= uint64(k) * 0x9e3779b97f4a7c15
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return sim.Duration(h % uint64(max+1))
+	return sim.Duration(core.Mix64(h) % uint64(max+1))
 }
 
 // release creates the next job of rt and schedules the following release.

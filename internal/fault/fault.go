@@ -196,7 +196,7 @@ func New(cfg Config, horizon sim.Duration) (*Plan, error) {
 		seed = 1
 	}
 	p := &Plan{
-		seed:        mix64(uint64(seed) * 0x9e3779b97f4a7c15),
+		seed:        core.Mix64(uint64(seed) * 0x9e3779b97f4a7c15),
 		overrunRate: cfg.OverrunRate,
 		jitterRate:  cfg.ReleaseJitterRate,
 		jitterMaxNs: int64(cfg.ReleaseJitterMaxMs * 1e6),
@@ -259,25 +259,15 @@ func New(cfg Config, horizon sim.Duration) (*Plan, error) {
 	return p, nil
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, high-quality bijective mixer.
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // draw hashes one decision point into a uniform uint64.
 func (p *Plan) draw(class uint64, task string, a, b, c int64) uint64 {
-	h := p.seed ^ mix64(class)
+	h := p.seed ^ core.Mix64(class)
 	for i := 0; i < len(task); i++ {
 		h = (h ^ uint64(task[i])) * 1099511628211 // FNV-1a step
 	}
-	h = mix64(h ^ uint64(a)*0xa24baed4963ee407)
-	h = mix64(h ^ uint64(b)*0x9fb21c651e98df25)
-	h = mix64(h ^ uint64(c)*0xc2b2ae3d27d4eb4f)
+	h = core.Mix64(h ^ uint64(a)*0xa24baed4963ee407)
+	h = core.Mix64(h ^ uint64(b)*0x9fb21c651e98df25)
+	h = core.Mix64(h ^ uint64(c)*0xc2b2ae3d27d4eb4f)
 	return h
 }
 

@@ -43,11 +43,6 @@ type Analyzer struct {
 	// pass.Reportf. The returned value is unused by this suite (the
 	// upstream framework threads it to dependent analyzers).
 	Run func(pass *Pass) (any, error)
-	// FactTypes lists the fact types this analyzer exports (pointers to
-	// JSON-serializable structs). Registration makes the fact decodable
-	// from its persisted form; an analyzer with no FactTypes neither
-	// exports nor imports facts.
-	FactTypes []Fact
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -86,7 +81,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // against a fresh fact store; use RunAllWith to thread facts across
 // packages.
 func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return run(a, pkg, NewFactStore([]*Analyzer{a}), true)
+	return run(a, pkg, NewFactStore(), true)
 }
 
 func run(a *Analyzer, pkg *Package, store *FactStore, reportBad bool) ([]Diagnostic, error) {
@@ -112,7 +107,7 @@ func run(a *Analyzer, pkg *Package, store *FactStore, reportBad bool) ([]Diagnos
 // store private to this call; use RunAllWith to share one across
 // packages.
 func RunAll(as []*Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunAllWith(as, pkg, NewFactStore(as), nil)
+	return RunAllWith(as, pkg, NewFactStore(), nil)
 }
 
 // RunAllWith executes every analyzer in as over the package, reading

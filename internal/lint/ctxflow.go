@@ -28,8 +28,7 @@ var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "request-path functions must thread the incoming " +
 		"context.Context, not re-root onto context.Background",
-	Run:       runCtxFlow,
-	FactTypes: []Fact{new(AmbientCtxFact)},
+	Run: runCtxFlow,
 }
 
 // AmbientCtxFact marks a function that constructs its own ambient

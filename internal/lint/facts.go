@@ -8,24 +8,19 @@ package lint
 // calls into P without re-analyzing it. This mirrors the Fact mechanism
 // of golang.org/x/tools/go/analysis on the standard library alone:
 // facts are JSON documents keyed by (analyzer, package path, object),
-// so they persist alongside the `go list -export` data — the standalone
-// driver threads one FactStore over the module in dependency order, and
-// the vet-tool driver round-trips the store through the .vetx files the
-// go command passes between packages.
+// and the driver threads one FactStore over the module in dependency
+// order.
 //
 // Facts are exported with Pass.ExportObjectFact and read back with
-// Pass.ImportObjectFact. Every fact type an analyzer exports must be
-// listed in its FactTypes so the decoder knows the concrete type; a
-// fact is marshalled at export time, which both validates
-// serializability at the source and makes every import an honest
-// decode of the persisted form.
+// Pass.ImportObjectFact. A fact is marshalled at export time, which
+// validates serializability at the source and gives every import its
+// own decoded copy.
 
 import (
 	"encoding/json"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -53,28 +48,15 @@ type factKey struct {
 type FactStore struct {
 	mu    sync.RWMutex
 	facts map[factKey]json.RawMessage
-	// types maps "analyzer/TypeName" to the concrete fact type for
-	// decoding persisted facts.
-	types map[string]reflect.Type
 }
 
-// NewFactStore builds an empty store whose decoder knows the fact
-// types of every analyzer in as.
-func NewFactStore(as []*Analyzer) *FactStore {
-	s := &FactStore{
-		facts: map[factKey]json.RawMessage{},
-		types: map[string]reflect.Type{},
-	}
-	for _, a := range as {
-		for _, f := range a.FactTypes {
-			s.types[a.Name+"/"+factTypeName(f)] = reflect.TypeOf(f)
-		}
-	}
-	return s
+// NewFactStore builds an empty store.
+func NewFactStore() *FactStore {
+	return &FactStore{facts: map[factKey]json.RawMessage{}}
 }
 
 // factTypeName is the unqualified concrete type name of a fact pointer,
-// the stable identity used in the persisted form.
+// the type component of its store key.
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
 	for t.Kind() == reflect.Pointer {
@@ -138,66 +120,6 @@ func (s *FactStore) get(analyzer string, obj types.Object, f Fact) bool {
 	return json.Unmarshal(data, f) == nil
 }
 
-// encodedFact is the persisted wire form of one fact.
-type encodedFact struct {
-	Analyzer string          `json:"analyzer"`
-	Object   string          `json:"object"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// EncodePackage serializes every fact attached to pkgPath's objects, in
-// a deterministic order, for persistence alongside the package's export
-// data (the vet-tool driver writes this to the .vetx file).
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	s.mu.RLock()
-	var out []encodedFact
-	for k, data := range s.facts {
-		if k.pkg != pkgPath {
-			continue
-		}
-		out = append(out, encodedFact{Analyzer: k.analyzer, Object: k.obj, Type: k.typ, Data: data})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Analyzer != out[j].Analyzer {
-			return out[i].Analyzer < out[j].Analyzer
-		}
-		if out[i].Object != out[j].Object {
-			return out[i].Object < out[j].Object
-		}
-		return out[i].Type < out[j].Type
-	})
-	return json.Marshal(out)
-}
-
-// DecodePackage merges previously persisted facts for pkgPath into the
-// store. Facts whose type is not registered (an analyzer this run does
-// not know) are skipped, mirroring the upstream framework's tolerance
-// of stale fact files.
-func (s *FactStore) DecodePackage(pkgPath string, data []byte) error {
-	var in []encodedFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("lint: decoding facts for %s: %v", pkgPath, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ef := range in {
-		rt, ok := s.types[ef.Analyzer+"/"+ef.Type]
-		if !ok {
-			continue
-		}
-		// Validate the payload against the registered type before storing.
-		v := reflect.New(rt.Elem()).Interface()
-		if err := json.Unmarshal(ef.Data, v); err != nil {
-			return fmt.Errorf("lint: fact %s/%s on %s.%s: %v", ef.Analyzer, ef.Type, pkgPath, ef.Object, err)
-		}
-		k := factKey{analyzer: ef.Analyzer, pkg: pkgPath, obj: ef.Object, typ: ef.Type}
-		s.facts[k] = ef.Data
-	}
-	return nil
-}
-
 // Len reports the number of stored facts (for tests and audits).
 func (s *FactStore) Len() int {
 	s.mu.RLock()
@@ -207,9 +129,8 @@ func (s *FactStore) Len() int {
 
 // ExportObjectFact attaches fact to obj for this pass's analyzer. The
 // fact becomes visible to the same analyzer in every package analyzed
-// later in the run (and, through the store's encode/decode round trip,
-// in later vet-tool invocations). A non-serializable fact panics: that
-// is an analyzer bug, not a finding.
+// later in the run. A non-serializable fact panics: that is an analyzer
+// bug, not a finding.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if p.facts == nil {
 		return

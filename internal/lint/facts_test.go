@@ -1,124 +1,31 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
+	"go/token"
+	"go/types"
 	"sync"
 	"testing"
 )
-
-// fakeObj builds a minimal types.Object-shaped fixture via the real
-// type-checker is overkill here; the store is exercised through its
-// encode/decode wire layer instead, which is what the vet driver and
-// the standalone driver actually persist.
-
-func TestFactStoreEncodeDecodeRoundTrip(t *testing.T) {
-	store := NewFactStore(All())
-	// Inject facts at the wire layer for two packages.
-	in := []encodedFact{
-		{Analyzer: "lockhold", Object: "Forward", Type: "BlocksFact", Data: json.RawMessage(`{"Why":"a channel receive"}`)},
-		{Analyzer: "ctxflow", Object: "FetchState", Type: "AmbientCtxFact", Data: json.RawMessage(`{"Call":"context.Background"}`)},
-		{Analyzer: "goroleak", Object: "Pump", Type: "NonTerminatingFact", Data: json.RawMessage(`{}`)},
-	}
-	raw, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.DecodePackage("example.com/dep", raw); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3", store.Len())
-	}
-
-	out, err := store.EncodePackage("example.com/dep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic order: sorted by analyzer, then object, then type.
-	var got []encodedFact
-	if err := json.Unmarshal(out, &got); err != nil {
-		t.Fatal(err)
-	}
-	wantOrder := []string{"ctxflow/FetchState", "goroleak/Pump", "lockhold/Forward"}
-	if len(got) != len(wantOrder) {
-		t.Fatalf("encoded %d facts, want %d", len(got), len(wantOrder))
-	}
-	for i, w := range wantOrder {
-		if k := got[i].Analyzer + "/" + got[i].Object; k != w {
-			t.Errorf("encoded[%d] = %s, want %s", i, k, w)
-		}
-	}
-
-	// Round trip into a second store preserves the bytes.
-	store2 := NewFactStore(All())
-	if err := store2.DecodePackage("example.com/dep", out); err != nil {
-		t.Fatal(err)
-	}
-	out2, err := store2.EncodePackage("example.com/dep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, out2) {
-		t.Fatalf("round trip changed encoding:\n%s\n%s", out, out2)
-	}
-
-	// A different package path encodes to no facts.
-	empty, err := store.EncodePackage("example.com/other")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(empty) != "null" {
-		t.Fatalf("EncodePackage(other) = %s, want null", empty)
-	}
-}
-
-func TestFactStoreSkipsUnregisteredTypes(t *testing.T) {
-	// A store built for one analyzer tolerates (and drops) facts from
-	// others — the upstream framework's stale-vetx tolerance.
-	store := NewFactStore([]*Analyzer{CtxFlow})
-	raw, _ := json.Marshal([]encodedFact{
-		{Analyzer: "lockhold", Object: "F", Type: "BlocksFact", Data: json.RawMessage(`{"Why":"x"}`)},
-		{Analyzer: "ctxflow", Object: "G", Type: "AmbientCtxFact", Data: json.RawMessage(`{"Call":"context.TODO"}`)},
-	})
-	if err := store.DecodePackage("example.com/dep", raw); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1 (unregistered fact dropped)", store.Len())
-	}
-}
-
-func TestFactStoreRejectsMalformedPayload(t *testing.T) {
-	store := NewFactStore(All())
-	raw, _ := json.Marshal([]encodedFact{
-		{Analyzer: "ctxflow", Object: "G", Type: "AmbientCtxFact", Data: json.RawMessage(`{"Call":7}`)},
-	})
-	if err := store.DecodePackage("example.com/dep", raw); err == nil {
-		t.Fatal("DecodePackage accepted a payload that does not match the registered type")
-	}
-}
 
 // TestFactStoreConcurrentAccess drives the store from many goroutines;
 // the race tier (make race includes internal/lint) turns any unguarded
 // access into a failure.
 func TestFactStoreConcurrentAccess(t *testing.T) {
-	store := NewFactStore(All())
-	raw, _ := json.Marshal([]encodedFact{
-		{Analyzer: "goroleak", Object: "Pump", Type: "NonTerminatingFact", Data: json.RawMessage(`{}`)},
-	})
+	store := NewFactStore()
+	dep := types.NewPackage("example.com/dep", "dep")
+	pump := types.NewFunc(token.NoPos, dep, "Pump", types.NewSignatureType(nil, nil, nil, nil, nil, false))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				if err := store.DecodePackage("example.com/dep", raw); err != nil {
+				if err := store.set("goroleak", pump, new(NonTerminatingFact)); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := store.EncodePackage("example.com/dep"); err != nil {
-					t.Error(err)
+				if !store.get("goroleak", pump, new(NonTerminatingFact)) {
+					t.Error("fact missing right after set")
 					return
 				}
 				store.Len()

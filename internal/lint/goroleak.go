@@ -28,8 +28,7 @@ var GoroLeak = &Analyzer{
 	Name: "goroleak",
 	Doc: "every go statement needs a termination path: a ctx/done " +
 		"exit, a WaitGroup, or an //rtmdm:owned-by annotation",
-	Run:       runGoroLeak,
-	FactTypes: []Fact{new(NonTerminatingFact)},
+	Run: runGoroLeak,
 }
 
 // NonTerminatingFact marks a function whose body contains an unbounded

@@ -115,7 +115,7 @@ func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	}
 	units = append(units, loadUnit{base, dir})
 
-	store := lint.NewFactStore([]*lint.Analyzer{a})
+	store := lint.NewFactStore()
 	var wants []*expectation
 	type located struct {
 		pos  string // "file:line"

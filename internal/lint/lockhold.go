@@ -25,8 +25,7 @@ var LockHold = &Analyzer{
 	Name: "lockhold",
 	Doc: "a held sync.Mutex/RWMutex must not cross a blocking call, " +
 		"and every Lock needs an Unlock on all return paths",
-	Run:       runLockHold,
-	FactTypes: []Fact{new(BlocksFact)},
+	Run: runLockHold,
 }
 
 // BlocksFact marks a function that can block the calling goroutine:

@@ -331,29 +331,3 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
-
-// WriteText writes the snapshot as aligned "name value unit" lines, with
-// histogram buckets indented under their parent.
-func (s Snapshot) WriteText(w io.Writer) error {
-	width := 0
-	for _, sm := range s.Samples {
-		if len(sm.Name) > width {
-			width = len(sm.Name)
-		}
-	}
-	for _, sm := range s.Samples {
-		if _, err := fmt.Fprintf(w, "%-*s %12d %s\n", width, sm.Name, sm.Value, sm.Unit); err != nil {
-			return err
-		}
-		for _, b := range sm.Buckets {
-			le := fmt.Sprintf("%d", b.Le)
-			if b.Le == math.MaxInt64 {
-				le = "+inf"
-			}
-			if _, err := fmt.Fprintf(w, "%-*s %12d   le=%s\n", width, "", b.Count, le); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

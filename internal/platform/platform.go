@@ -71,15 +71,6 @@ type CPU struct {
 // Busy reports whether a work item is in flight.
 func (c *CPU) Busy() bool { return c.busy }
 
-// RemainingWorkNs returns the work-ns left in the current item (0 when
-// idle). Wall-clock remaining is at least this (rates never exceed 1).
-func (c *CPU) RemainingWorkNs() int64 {
-	if !c.busy {
-		return 0
-	}
-	return c.act.Remaining()
-}
-
 // Run starts a non-preemptive work item of the given duration (work-ns at
 // full rate). onDone fires in virtual time when it completes. Running while
 // busy panics: the executor must serialize. Run allocates nothing when
