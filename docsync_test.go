@@ -2,6 +2,7 @@ package rtmdm
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -131,6 +132,83 @@ func TestRobustnessDocNamesExist(t *testing.T) {
 			t.Errorf("docs/ROBUSTNESS.md names %q, which is not in the registry", m[1])
 		}
 	}
+}
+
+// goRunRe and goTestRe match the commands a reader copies out of the
+// docs: `go run ./pkg ...` and `go test [flags] [packages]` up to the end
+// of the line, a closing backtick or a shell comment.
+var (
+	goRunRe    = regexp.MustCompile(`go run (\./[\w./-]*)`)
+	goTestRe   = regexp.MustCompile("go test([^\n`#]*)")
+	testFuncRe = regexp.MustCompile(`^(Example|Test|Benchmark|Fuzz)\w*$`)
+)
+
+// TestDocumentedCommandsExist checks every `go run` and `go test -run`
+// command in README.md and docs/TUTORIAL.md: each named package directory
+// must exist, and each Example/Test/Benchmark/Fuzz function a -run pattern
+// names must be declared in that package's test files.
+func TestDocumentedCommandsExist(t *testing.T) {
+	for _, path := range []string{"README.md", "docs/TUTORIAL.md"} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range goRunRe.FindAllStringSubmatch(string(doc), -1) {
+			if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+				t.Errorf("%s: `go run %s` names no package directory", path, m[1])
+			}
+		}
+		for _, m := range goTestRe.FindAllStringSubmatch(string(doc), -1) {
+			cmd := "go test " + strings.TrimSpace(m[1])
+			args := strings.Fields(m[1])
+			var pattern string
+			var pkgs []string
+			for i, a := range args {
+				switch {
+				case a == "-run" && i+1 < len(args):
+					pattern = strings.Trim(args[i+1], `'"`)
+				case strings.HasPrefix(a, "."):
+					pkgs = append(pkgs, strings.TrimSuffix(a, "/..."))
+				}
+			}
+			if len(pkgs) == 0 {
+				pkgs = []string{"."}
+			}
+			for _, pkg := range pkgs {
+				if fi, err := os.Stat(pkg); err != nil || !fi.IsDir() {
+					t.Errorf("%s: `%s` names no package directory %s", path, cmd, pkg)
+					continue
+				}
+				for _, name := range strings.Split(pattern, "|") {
+					name = strings.Trim(name, "^$")
+					if testFuncRe.MatchString(name) && !declaresTestFunc(t, pkg, name) {
+						t.Errorf("%s: `%s` runs %s, which %s does not declare", path, cmd, name, pkg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// declaresTestFunc reports whether a _test.go file in dir declares the
+// function name.
+func declaresTestFunc(t *testing.T, dir, name string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func ` + name + `\(`)
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decl.Match(src) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestClusterDocMatchesGateway keeps the endpoint table in

@@ -429,7 +429,7 @@ func (g *Gateway) handle(pattern string, h http.HandlerFunc) {
 			g.met.inflight.Add(-1)
 			g.met.latency.Observe(time.Since(start).Nanoseconds())
 			if v := recover(); v != nil {
-				writeError(w, http.StatusInternalServerError,
+				WriteError(w, http.StatusInternalServerError,
 					fmt.Sprintf("gateway panic: %v\n%s", v, debug.Stack()))
 			}
 		}()
@@ -455,7 +455,7 @@ func (g *Gateway) acquireQuota(w http.ResponseWriter, r *http.Request) (func(), 
 	if !ok {
 		g.met.quotaRej.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
+		WriteError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %q at its weighted in-flight cap (%d); retry shortly",
 				tenant, g.quotas.Limit(tenant)))
 		return nil, false
@@ -501,7 +501,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if degraded == len(lay.shards) {
 		out.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleReadyz is the readiness gate, distinct from liveness: not ready
@@ -513,16 +513,16 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	epoch, migrating := g.cur.epoch, g.mig != nil
 	g.routeMu.RUnlock()
 	if migrating {
-		writeJSON(w, http.StatusServiceUnavailable,
+		WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "reason": "reshard migration in flight", "epoch": epoch})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "epoch": epoch})
+	WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "epoch": epoch})
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if g.cfg.Registry == nil {
-		writeError(w, http.StatusNotFound, "metrics registry not enabled")
+		WriteError(w, http.StatusNotFound, "metrics registry not enabled")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -611,18 +611,18 @@ func (g *Gateway) placeAdmit(ctx context.Context, cl *admitCall) (*layout, *shar
 func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var key struct {
 		Node string `json:"node"`
 	}
 	if err := json.Unmarshal(body, &key); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	if key.Node == "" {
-		writeError(w, http.StatusBadRequest, "node must be set")
+		WriteError(w, http.StatusBadRequest, "node must be set")
 		return
 	}
 	release, ok := g.acquireQuota(w, r)
@@ -636,7 +636,7 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		release()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	select {
@@ -645,10 +645,10 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		// The client is gone (or the budget fired) but the forward is
 		// already out; the quota slot stays held until the forward
 		// settles — released there, not here.
-		writeError(w, http.StatusServiceUnavailable, ctx.Err().Error())
+		WriteError(w, http.StatusServiceUnavailable, ctx.Err().Error())
 		return
 	case <-g.base.Done():
-		writeError(w, http.StatusServiceUnavailable, "gateway shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "gateway shutting down")
 		return
 	}
 	g.writeProxied(w, lay, sh, cl.res, cl.err)
@@ -663,7 +663,7 @@ func (g *Gateway) proxyByScenario(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		release, ok := g.acquireQuota(w, r)
@@ -707,7 +707,7 @@ func (g *Gateway) writeProxied(w http.ResponseWriter, lay *layout, sh *shard, re
 	if err != nil {
 		g.met.shardErrs.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("shard %d (%s): %v", idx, sh.base, err))
+		WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d (%s): %v", idx, sh.base, err))
 		return
 	}
 	if res.cache != "" {
@@ -938,12 +938,15 @@ func (sh *shard) busyNodes(keep func(string) bool) []string {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response body with the given status. The
+// gateway and the shard server answer through this one pair.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+// WriteError writes the error body {"error": msg} with the given status.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
 }

@@ -55,16 +55,16 @@ var (
 func (g *Gateway) handleReshard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var req ReshardRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	if len(req.Shards) == 0 {
-		writeError(w, http.StatusBadRequest, "shards must list at least one URL")
+		WriteError(w, http.StatusBadRequest, "shards must list at least one URL")
 		return
 	}
 	ctx, cancel := g.requestCtx(r)
@@ -72,14 +72,14 @@ func (g *Gateway) handleReshard(w http.ResponseWriter, r *http.Request) {
 	resp, err := g.Reshard(ctx, req.Shards)
 	if err == errReshardBusy {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, err.Error())
+		WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
+		WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // nodeHome is one node's authoritative location: the shard holding its

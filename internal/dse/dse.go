@@ -21,6 +21,7 @@ import (
 	"rtmdm/internal/cost"
 	"rtmdm/internal/metrics"
 	"rtmdm/internal/sim"
+	"rtmdm/internal/task"
 	"rtmdm/internal/workload"
 )
 
@@ -338,21 +339,14 @@ func evaluate(spec workload.SetSpec, plat cost.Platform, pt Point) Point {
 		return pt
 	}
 	pt.Schedulable = true
-	slack := sim.Duration(1<<63 - 1)
-	for _, t := range s.Tasks {
-		if d := t.Deadline - v.WCRT[t.Name]; d < slack {
-			slack = d
-		}
-	}
-	pt.SlackNs = int64(slack)
+	pt.SlackNs = int64(minSlack(s, v))
 	pt.Alpha = analysis.BreakdownFactor(s, plat, test, 0.02)
 	return pt
 }
 
-// evaluateTuned brute-forces per-task windows over {1..4}ⁿ on a uniform
-// depth-2 segmentation, keeping the accepted assignment with the largest
-// worst-case slack (least staging as the tie-break), then scores it with
-// the breakdown factor like any other point.
+// evaluateTuned tunes per-task windows with TuneWindows on a uniform
+// depth-2 segmentation, keeping the slack-optimal assignment, then scores
+// it with the breakdown factor like any other point.
 func evaluateTuned(spec workload.SetSpec, plat cost.Platform, pt Point) Point {
 	base := core.RTMDM()
 	base.MaxSegNs = pt.GranularityNs
@@ -363,71 +357,96 @@ func evaluateTuned(spec workload.SetSpec, plat cost.Platform, pt Point) Point {
 		return pt
 	}
 	pt.Feasible = true
-	var best map[string]int
-	var bestSlack sim.Duration
-	var bestStaging int64
-	assign := make([]int, len(s.Tasks))
-	var walk func(int)
-	walk = func(i int) {
-		if i == len(s.Tasks) {
-			depths := make(map[string]int, len(s.Tasks))
-			var staging int64
-			for k, tk := range s.Tasks {
-				depths[tk.Name] = assign[k]
-				d := assign[k]
-				if d > tk.NumSegments() {
-					d = tk.NumSegments()
-				}
-				staging += int64(d) * tk.Plan.MaxLoadBytes()
-			}
-			pol := core.RTMDMPerTaskDepth(depths)
-			pol.MaxSegNs = pt.GranularityNs
-			pol.ChunkBytes = pt.ChunkBytes
-			if core.Provision(s, plat, pol) != nil {
-				return
-			}
-			test, err := analysis.ForPolicy(pol)
-			if err != nil {
-				return
-			}
-			v := test(s, plat)
-			if !v.Schedulable {
-				return
-			}
-			slack := sim.Duration(1<<63 - 1)
-			for _, tk := range s.Tasks {
-				if d := tk.Deadline - v.WCRT[tk.Name]; d < slack {
-					slack = d
-				}
-			}
-			if best == nil || slack > bestSlack ||
-				(slack == bestSlack && staging < bestStaging) {
-				best, bestSlack, bestStaging = depths, slack, staging
-			}
-			return
-		}
-		for d := 1; d <= 4; d++ {
-			assign[i] = d
-			walk(i + 1)
-		}
-	}
-	walk(0)
-	if best == nil {
+	_, best, ok := TuneWindows(s, plat, func(windows map[string]int) core.Policy {
+		q := pt
+		q.TaskDepths = windows
+		return q.Policy()
+	})
+	if !ok {
 		pt.Reason = "no accepted per-task window assignment"
 		return pt
 	}
-	pt.TaskDepths = best
-	for _, d := range best {
+	pt.TaskDepths = best.Windows
+	for _, d := range best.Windows {
 		if d > pt.Depth {
 			pt.Depth = d
 		}
 	}
 	pt.Schedulable = true
-	pt.SlackNs = int64(bestSlack)
-	pol := pt.Policy()
-	test, _ := analysis.ForPolicy(pol)
+	pt.SlackNs = int64(best.Slack)
+	test, _ := analysis.ForPolicy(pt.Policy())
 	pt.Alpha = analysis.BreakdownFactor(s, plat, test, 0.02)
 	return pt
+}
+
+// TuneWindows brute-forces per-task prefetch windows over {1,2,3,4}ⁿ on
+// the set's fixed segmentation (extension T24). policy maps a window
+// assignment (task name → depth) to the policy that is provisioned and
+// analysed for it. Of the accepted assignments it returns the cheapest in
+// staging SRAM (larger worst-case slack breaking ties) and the
+// slack-maximal one (less staging breaking ties); the first one found in
+// walk order wins a full tie. Each optimum carries its windows, the staging
+// SRAM they pin (core.MaxBufferBytes summed over tasks) and its worst-case
+// slack (the least D − R). ok is false when no assignment is accepted.
+func TuneWindows(s *task.Set, plat cost.Platform, policy func(windows map[string]int) core.Policy) (cheapest, slackOpt struct {
+	Windows      map[string]int
+	StagingBytes int64
+	Slack        sim.Duration
+}, ok bool) {
+	assign := make([]int, len(s.Tasks))
+	var walk func(int)
+	walk = func(i int) {
+		if i < len(s.Tasks) {
+			for d := 1; d <= 4; d++ {
+				assign[i] = d
+				walk(i + 1)
+			}
+			return
+		}
+		windows := make(map[string]int, len(s.Tasks))
+		for k, tk := range s.Tasks {
+			windows[tk.Name] = assign[k]
+		}
+		pol := policy(windows)
+		if core.Provision(s, plat, pol) != nil {
+			return
+		}
+		test, err := analysis.ForPolicy(pol)
+		if err != nil {
+			return
+		}
+		v := test(s, plat)
+		if !v.Schedulable {
+			return
+		}
+		var staging int64
+		for _, tk := range s.Tasks {
+			staging += core.MaxBufferBytes(tk, pol)
+		}
+		slack := minSlack(s, v)
+		if !ok || staging < cheapest.StagingBytes ||
+			(staging == cheapest.StagingBytes && slack > cheapest.Slack) {
+			cheapest.Windows, cheapest.StagingBytes, cheapest.Slack = windows, staging, slack
+		}
+		if !ok || slack > slackOpt.Slack ||
+			(slack == slackOpt.Slack && staging < slackOpt.StagingBytes) {
+			slackOpt.Windows, slackOpt.StagingBytes, slackOpt.Slack = windows, staging, slack
+		}
+		ok = true
+	}
+	walk(0)
+	return cheapest, slackOpt, ok
+}
+
+// minSlack is a verdict's worst-case slack: the least D − R over tasks.
+func minSlack(s *task.Set, v analysis.Verdict) sim.Duration {
+	slack := sim.Duration(1<<63 - 1)
+	for _, tk := range s.Tasks {
+		if d := tk.Deadline - v.WCRT[tk.Name]; d < slack {
+			slack = d
+		}
+	}
+	return slack
 }
 
 // frontier extracts the Pareto-optimal schedulable points, sorted by

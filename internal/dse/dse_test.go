@@ -6,7 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rtmdm/internal/core"
 	"rtmdm/internal/cost"
+	"rtmdm/internal/segment"
+	"rtmdm/internal/sim"
+	"rtmdm/internal/task"
 	"rtmdm/internal/workload"
 )
 
@@ -391,5 +395,112 @@ func TestTunedPointsJoinTheGrid(t *testing.T) {
 				t.Fatalf("uniform point out-slacks tuned sibling: %+v vs %+v", q, p)
 			}
 		}
+	}
+}
+
+// caseStudy is the three-DNN case study: keyword spotting every 50 ms,
+// person detection every 150 ms, anomaly detection every 100 ms.
+func caseStudy() workload.SetSpec {
+	return workload.SetSpec{Tasks: []workload.TaskSpec{
+		{Model: "ds-cnn", Seed: 1, Period: 50 * sim.Millisecond, Deadline: 50 * sim.Millisecond},
+		{Model: "mobilenetv1-0.25", Seed: 1, Period: 150 * sim.Millisecond, Deadline: 150 * sim.Millisecond},
+		{Model: "autoencoder", Seed: 1, Period: 100 * sim.Millisecond, Deadline: 100 * sim.Millisecond},
+	}}
+}
+
+// uniformPlan is a synthetic plan of n identical segments.
+func uniformPlan(plat cost.Platform, n int, loadBytes, computeNs int64) *segment.Plan {
+	pl := &segment.Plan{Platform: plat, BudgetBytes: plat.WeightBufBytes}
+	for i := 0; i < n; i++ {
+		pl.Segments = append(pl.Segments, segment.Segment{
+			Index: i, Parts: []segment.Part{{Node: i, Num: 1, Den: 1}},
+			LoadBytes: loadBytes, ComputeNs: computeNs, LoadNs: plat.Mem.TransferNs(loadBytes),
+		})
+	}
+	return pl
+}
+
+// TestTuneWindowsPinned pins both optima of the per-task window search
+// (windows, staging, slack) to values recorded before the search was
+// shared between T24 and the explorer.
+func TestTuneWindowsPinned(t *testing.T) {
+	plat := cost.STM32H743
+	instantiate := func(sp workload.SetSpec) *task.Set {
+		s, err := sp.Instantiate(plat, core.RTMDM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	gen, err := workload.Generate(workload.Params{Seed: 3, N: 4, Util: 0.6, Platform: plat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// b holds no weights: its window pins no staging, yet its inventory
+	// blocks a, so only the cheapest optimum's slack tie-break keeps b at
+	// depth 1.
+	synth := cost.Platform{
+		Name:           "synthetic",
+		CPU:            cost.CPUProfile{Name: "cpu", Hz: 1_000_000_000, DefaultMACsPerCycle: 1},
+		Mem:            cost.MemProfile{Name: "mem", BandwidthBps: 1_000_000_000},
+		SRAMBytes:      1 << 20,
+		WeightBufBytes: 1 << 19,
+		Bus:            cost.NoContention(),
+	}
+	zeroWeight := task.NewSet(
+		&task.Task{Name: "a", Plan: uniformPlan(synth, 4, 1000, 1000), Period: 20_000, Deadline: 20_000, Priority: 0},
+		&task.Task{Name: "b", Plan: uniformPlan(synth, 3, 0, 2000), Period: 40_000, Deadline: 40_000, Priority: 1},
+	)
+	type optimum struct {
+		windows map[string]int
+		staging int64
+		slack   sim.Duration
+	}
+	for _, c := range []struct {
+		name               string
+		set                *task.Set
+		plat               cost.Platform
+		cheapest, slackOpt optimum
+	}{
+		{"case-study", instantiate(caseStudy()), plat,
+			optimum{map[string]int{"t0-ds-cnn": 1, "t1-mobilenetv1-0.25": 1, "t2-autoencoder": 1}, 53859, 35617115},
+			optimum{map[string]int{"t0-ds-cnn": 2, "t1-mobilenetv1-0.25": 1, "t2-autoencoder": 1}, 56851, 36410749}},
+		{"generated-4", instantiate(gen), plat,
+			optimum{map[string]int{"t0-resnet8": 1, "t1-autoencoder": 1, "t2-mobilenetv1-0.25": 1, "t3-lenet5": 1}, 71805, 1546975},
+			optimum{map[string]int{"t0-resnet8": 1, "t1-autoencoder": 1, "t2-mobilenetv1-0.25": 1, "t3-lenet5": 3}, 120285, 3220685}},
+		{"zero-weight", zeroWeight, synth,
+			optimum{map[string]int{"a": 1, "b": 1}, 1000, 10_000},
+			optimum{map[string]int{"a": 2, "b": 1}, 2000, 13_000}},
+	} {
+		cheapest, slackOpt, ok := TuneWindows(c.set, c.plat, core.RTMDMPerTaskDepth)
+		if !ok {
+			t.Fatalf("%s: no accepted assignment", c.name)
+		}
+		for _, g := range []struct {
+			label string
+			got   optimum
+			want  optimum
+		}{
+			{"cheapest", optimum{cheapest.Windows, cheapest.StagingBytes, cheapest.Slack}, c.cheapest},
+			{"slack-optimal", optimum{slackOpt.Windows, slackOpt.StagingBytes, slackOpt.Slack}, c.slackOpt},
+		} {
+			if !reflect.DeepEqual(g.got, g.want) {
+				t.Errorf("%s %s: got %+v, want %+v", c.name, g.label, g.got, g.want)
+			}
+		}
+	}
+
+	// The explorer's tuned point carries the slack-optimal windows of the
+	// same search under its own δ and chunking.
+	k := Knobs{StagingBytes: []int64{plat.WeightBufBytes}, Depths: []int{2},
+		GranularityNs: []int64{1_000_000}, ChunkBytes: []int64{0}, TunePerTaskDepth: true}
+	r, err := Explore(caseStudy(), plat, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := r.Points[len(r.Points)-1]
+	want := map[string]int{"t0-ds-cnn": 2, "t1-mobilenetv1-0.25": 1, "t2-autoencoder": 1}
+	if !reflect.DeepEqual(tuned.TaskDepths, want) || tuned.SlackNs != 36410749 {
+		t.Errorf("tuned point windows %v slack %d, want %v slack 36410749", tuned.TaskDepths, tuned.SlackNs, want)
 	}
 }

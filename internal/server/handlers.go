@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"rtmdm/internal/analysis"
+	"rtmdm/internal/cluster"
 	"rtmdm/internal/core"
 	"rtmdm/internal/exec"
 	"rtmdm/internal/scenario"
@@ -46,12 +47,12 @@ type AnalyzeResponse struct {
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sc, hash, err := s.parseScenario(req.Scenario)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	policies := req.Policies
@@ -60,7 +61,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, p := range policies {
 		if _, err := core.PolicyByName(p); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			cluster.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
@@ -143,12 +144,12 @@ type SimulateResponse struct {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sc, hash, err := s.parseScenario(req.Scenario)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := fmt.Sprintf("simulate\x00%s\x00trace=%t", hash, req.IncludeTrace)
@@ -218,23 +219,23 @@ func simulateScenario(ctx context.Context, sc *scenario.Scenario, hash string, i
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req AdmitRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.RequestID == 0 {
-		writeError(w, http.StatusBadRequest, "request_id must be a positive integer")
+		cluster.WriteError(w, http.StatusBadRequest, "request_id must be a positive integer")
 		return
 	}
 	if req.Node == "" {
-		writeError(w, http.StatusBadRequest, "node must be set")
+		cluster.WriteError(w, http.StatusBadRequest, "node must be set")
 		return
 	}
 	if req.Task.Name == "" {
-		writeError(w, http.StatusBadRequest, "task.name must be set")
+		cluster.WriteError(w, http.StatusBadRequest, "task.name must be set")
 		return
 	}
 	if req.HorizonMs > s.cfg.MaxHorizonMs {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf(
+		cluster.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
 			"horizon %v ms exceeds the server bound %v ms", req.HorizonMs, s.cfg.MaxHorizonMs))
 		return
 	}
@@ -244,18 +245,18 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if err == errBusy {
 		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "worker pool saturated; retry shortly")
+		cluster.WriteError(w, http.StatusTooManyRequests, "worker pool saturated; retry shortly")
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		cluster.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	defer release()
 	resp, err := s.adm.submit(r.Context(), req)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		cluster.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	cluster.WriteJSON(w, http.StatusOK, resp)
 }

@@ -42,16 +42,16 @@ var errNodeBusy = errors.New("server: node busy")
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("node")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, "node query parameter must be set")
+		cluster.WriteError(w, http.StatusBadRequest, "node query parameter must be set")
 		return
 	}
 	snap, err := s.adm.exportNode(s.cfg.ShardLabel, name)
 	if errors.Is(err, errNodeUnknown) {
-		writeError(w, http.StatusNotFound, err.Error())
+		cluster.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		cluster.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	cluster.RecordHandoffExport()
@@ -90,7 +90,7 @@ type importResponse struct {
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var probe importRequest
@@ -101,7 +101,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 
 	snap, err := cluster.DecodeSnapshot(bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	installed, resp, err := s.adm.importNode(snap)
@@ -110,12 +110,12 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cluster.RecordHandoffImport()
-	writeJSON(w, http.StatusOK, importResponse{Node: resp.Node, Hash: resp.Hash, Installed: installed})
+	cluster.WriteJSON(w, http.StatusOK, importResponse{Node: resp.Node, Hash: resp.Hash, Installed: installed})
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, rel *releaseRequest) {
 	if rel.Node == "" || rel.Hash == "" {
-		writeError(w, http.StatusBadRequest, "release needs node and hash")
+		cluster.WriteError(w, http.StatusBadRequest, "release needs node and hash")
 		return
 	}
 	released, err := s.adm.releaseNode(rel.Node, rel.Hash)
@@ -124,7 +124,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, rel *releaseRequest) {
 		return
 	}
 	cluster.RecordHandoffRelease()
-	writeJSON(w, http.StatusOK, importResponse{Node: rel.Node, Hash: rel.Hash, Released: released})
+	cluster.WriteJSON(w, http.StatusOK, importResponse{Node: rel.Node, Hash: rel.Hash, Released: released})
 }
 
 // writeHandoffError maps the handoff sentinels onto their statuses:
@@ -134,12 +134,12 @@ func writeHandoffError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errNodeBusy):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		cluster.WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, errHandoffConflict):
 		cluster.RecordHandoffConflict()
-		writeError(w, http.StatusConflict, err.Error())
+		cluster.WriteError(w, http.StatusConflict, err.Error())
 	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+		cluster.WriteError(w, http.StatusBadRequest, err.Error())
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rtmdm/internal/cluster"
 	"rtmdm/internal/exec"
 	"rtmdm/internal/metrics"
 	"rtmdm/internal/scenario"
@@ -211,7 +212,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 			if v := recover(); v != nil {
 				s.met.panics.Inc()
 				ie := &exec.InternalError{Panic: v, Stack: string(debug.Stack())}
-				writeError(w, http.StatusInternalServerError, ie.Error())
+				cluster.WriteError(w, http.StatusInternalServerError, ie.Error())
 			}
 		}()
 		h(w, r)
@@ -219,7 +220,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	cluster.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe, distinct from liveness: 200 only
@@ -227,15 +228,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // alive (healthz 200) but not ready (readyz 503).
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
+		cluster.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Registry == nil {
-		writeError(w, http.StatusNotFound, "metrics registry not enabled")
+		cluster.WriteError(w, http.StatusNotFound, "metrics registry not enabled")
 		return
 	}
 	s.met.queueDepth.Set(int64(s.pool.depth()))
@@ -253,7 +254,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleSnapshotHTTP(w http.ResponseWriter, _ *http.Request) {
 	snap, err := s.ExportState(s.cfg.ShardLabel)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		cluster.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -282,16 +283,16 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, key string, fn 
 	case err == errBusy:
 		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "worker pool saturated; retry shortly")
+		cluster.WriteError(w, http.StatusTooManyRequests, "worker pool saturated; retry shortly")
 	case err == context.DeadlineExceeded:
 		s.met.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
+		cluster.WriteError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 	case err == context.Canceled:
 		// The client went away (or the server is shutting down); a
 		// status for the log is all that is left to send.
-		writeError(w, http.StatusServiceUnavailable, "request canceled")
+		cluster.WriteError(w, http.StatusServiceUnavailable, "request canceled")
 	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		cluster.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
@@ -318,16 +319,6 @@ func (s *Server) parseScenario(raw json.RawMessage) (*scenario.Scenario, string,
 		return nil, "", err
 	}
 	return canon, hash, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // decodeBody decodes a JSON request body strictly (unknown fields are

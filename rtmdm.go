@@ -147,6 +147,11 @@ var (
 	ComparisonSet = core.ComparisonSet
 )
 
+// MaxBufferBytes is the staging SRAM one task's prefetch window pins under
+// a policy: its window depth, capped at its segment count, times its
+// largest segment.
+var MaxBufferBytes = core.MaxBufferBytes
+
 // DefaultPlatform returns the default evaluation target (STM32H743-class:
 // 480 MHz Cortex-M7, 512 KiB SRAM, 32 MB/s QSPI flash).
 func DefaultPlatform() Platform { return cost.STM32H743 }
